@@ -36,10 +36,12 @@ func benchTable(b *testing.B, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// One trial on the table's fixed paper seed: every iteration runs the
+	// same workload, so -count and -benchtime above 1x compare like with
+	// like.
 	spec.Trials = 1
 	var res *exp.TableResult
 	for i := 0; i < b.N; i++ {
-		spec.Seed = int64(1000 + n + i) // fresh workload per iteration
 		if res, err = exp.RunTable(spec); err != nil {
 			b.Fatal(err)
 		}

@@ -76,13 +76,23 @@ func (c *Calc) CalUHorizon(id stream.ID, horizon int) (int, error) {
 
 // CalUSearchCap computes the delay upper bound with a doubling-horizon
 // search capped at maxHorizon; see Analyzer.CalUSearchCap for the
-// search and stability-margin semantics. Unlike the one-shot path,
-// the search grows a single initial diagram incrementally — the
-// construction is window-local, so doubling the horizon lays out only
-// the new columns — and applies Modify to a clone per horizon (Modify
-// releases are not window-local, so the unmodified original is the one
-// that grows). Sets whose HP elements are all direct skip the clone
-// entirely: Modify would release nothing.
+// search and stability-margin semantics.
+//
+// The horizons h0·2^k are not all visited. A bound u is accepted only
+// once u + margin ≤ h, and u ≥ L, so no horizon below L + margin can
+// end the search; it could only record a best-effort bound, which any
+// larger horizon finding a bound overrides. The search therefore lays
+// the initial diagram out directly at the first horizon that can
+// accept (or at the last one the cap allows) — the construction is
+// window-local, so that is byte-identical to growing it there — and
+// doubles from there, growing the one initial diagram in place and
+// applying Modify to a clone per horizon (Modify releases are not
+// window-local, so the unmodified original is the one that grows).
+// The last horizon is Modified in place, and sets whose HP elements
+// are all direct skip Modify entirely: it would release nothing. Only
+// when every visited horizon finds no bound are the skipped ones
+// evaluated, largest first, so the best-effort result stays exactly
+// that of the full doubling sequence.
 func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	s := c.a.Set.Get(id)
 	if s == nil {
@@ -111,26 +121,34 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	} else {
 		margin *= len(elems) + 1
 	}
-	h := s.Deadline
-	if s.Latency > h {
-		h = s.Latency
+	h0 := s.Deadline
+	if s.Latency > h0 {
+		h0 = s.Latency
 	}
-	if h < 1 {
-		h = 1
+	if h0 < 1 {
+		h0 = 1
 	}
-	if h > maxHorizon {
+	if h0 > maxHorizon {
 		return -1, nil
 	}
+	// Jump to the first horizon h with h - L ≥ margin. L ≤ h0 ≤ h, so
+	// the difference cannot overflow.
+	firstHorizon := h0
+	for firstHorizon-s.Latency < margin && firstHorizon <= maxHorizon/2 {
+		firstHorizon *= 2
+	}
 	c.ar.Reset()
-	init, err := newDiagram(elems, h, &c.ar)
+	init, err := newDiagram(elems, firstHorizon, &c.ar)
 	if err != nil {
 		return 0, err
 	}
 	best := -1
-	for {
+	for h := firstHorizon; ; {
 		d := init
 		if hasIndirect {
-			d = init.clone(&c.ar)
+			if h <= maxHorizon/2 {
+				d = init.clone(&c.ar)
+			}
 			d.Modify()
 		}
 		if u := d.DelayUpperBound(s.Latency); u >= 0 {
@@ -146,6 +164,19 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 		if err := init.Grow(h); err != nil {
 			return 0, err
 		}
+	}
+	// firstHorizon is h0·2^k, so halving walks the skipped horizons
+	// exactly. Without indirect elements every diagram is a prefix of
+	// the larger ones, so a skipped horizon cannot find a bound the
+	// visited ones missed.
+	for h := firstHorizon; best < 0 && hasIndirect && h > h0; {
+		h /= 2
+		d, err := newDiagram(elems, h, &c.ar)
+		if err != nil {
+			return 0, err
+		}
+		d.Modify()
+		best = d.DelayUpperBound(s.Latency)
 	}
 	return best, nil
 }

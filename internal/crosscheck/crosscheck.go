@@ -110,16 +110,14 @@ func Run(cfg Config) (*Report, error) {
 	for trial := 0; trial < cfg.Trials; trial++ {
 		seed := cfg.Seed + int64(trial)*104729
 		wcfg := workload.PaperDefaults(cfg.Streams, cfg.PLevels, seed)
-		wcfg.UCap = cfg.UCap
+		wcfg.InflatePeriods = false
 		set, analyzer, err := workload.Generate(wcfg)
 		if err != nil {
 			return nil, fmt.Errorf("crosscheck: trial %d: %w", trial, err)
 		}
-		us := make([]int, set.Len())
-		for _, s := range set.Streams {
-			if us[s.ID], err = analyzer.CalUSearchCap(s.ID, cfg.UCap); err != nil {
-				return nil, err
-			}
+		us, err := workload.Inflate(set, analyzer, cfg.UCap)
+		if err != nil {
+			return nil, err
 		}
 		simulator, err := sim.New(set, sim.Config{Cycles: cfg.Cycles, Warmup: cfg.Warmup})
 		if err != nil {

@@ -180,16 +180,9 @@ func QuantizationSweep(streams int, vcCounts []int, seed int64, cycles int) ([]Q
 		if err != nil {
 			return nil, err
 		}
-		set, analyzer, err = reinflate(set, analyzer)
+		us, err := workload.Inflate(set, analyzer, 1<<16)
 		if err != nil {
 			return nil, err
-		}
-		us := make([]int, set.Len())
-		calc := analyzer.NewCalc()
-		for _, s := range set.Streams {
-			if us[s.ID], err = calc.CalUSearchCap(s.ID, 1<<16); err != nil {
-				return nil, err
-			}
 		}
 		simulator, err := sim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
 		if err != nil {
@@ -245,7 +238,7 @@ func RouterLatencySweep(streams, plevels int, seed int64, depths []int, cycles i
 		if err != nil {
 			return nil, err
 		}
-		set, analyzer, err = reinflate(set, analyzer)
+		us, err := workload.Inflate(set, analyzer, 1<<16)
 		if err != nil {
 			return nil, err
 		}
@@ -256,13 +249,8 @@ func RouterLatencySweep(streams, plevels int, seed int64, depths []int, cycles i
 		res := simulator.Run()
 		p := RouterLatencyPoint{R: r}
 		var nu, na int
-		calc := analyzer.NewCalc()
 		for _, s := range set.Streams {
-			u, err := calc.CalUSearchCap(s.ID, 1<<16)
-			if err != nil {
-				return nil, err
-			}
-			if u > 0 {
+			if u := us[s.ID]; u > 0 {
 				p.MeanU += float64(u)
 				nu++
 			}
@@ -280,45 +268,4 @@ func RouterLatencySweep(streams, plevels int, seed int64, depths []int, cycles i
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// reinflate applies the paper's period-inflation rule to an externally
-// re-prioritised set.
-func reinflate(set *stream.Set, a *core.Analyzer) (*stream.Set, *core.Analyzer, error) {
-	var err error
-	for pass := 0; pass < 8; pass++ {
-		changed := false
-		calc := a.NewCalc()
-		for _, s := range set.Streams {
-			u, err := calc.CalUSearchCap(s.ID, 1<<16)
-			if err != nil {
-				return nil, nil, err
-			}
-			if u > s.Period {
-				s.Period, s.Deadline = u, u
-				changed = true
-			} else if u < 0 {
-				// Inflating past the search cap is pointless (the
-				// capped Cal_U search cannot use it) and the clamp
-				// keeps the quadrupling provably inside int64.
-				p := s.Period
-				if p < 1 {
-					p = 1
-				}
-				if p > core.MaxSearchHorizon/4 {
-					p = core.MaxSearchHorizon / 4
-				}
-				s.Period = p * 4
-				s.Deadline = s.Period
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-		if a, err = core.NewAnalyzer(set); err != nil {
-			return nil, nil, err
-		}
-	}
-	return set, a, nil
 }

@@ -146,18 +146,14 @@ func RunTable(spec TableSpec) (*TableResult, error) {
 
 func runTrial(spec TableSpec, seed int64) (*metrics.RatioTable, error) {
 	cfg := workload.PaperDefaults(spec.Streams, spec.PLevels, seed)
+	cfg.InflatePeriods = false
 	set, analyzer, err := workload.GeneratePattern(cfg, spec.Pattern)
 	if err != nil {
 		return nil, err
 	}
-	us := make([]int, set.Len())
-	calc := analyzer.NewCalc()
-	for _, s := range set.Streams {
-		u, err := calc.CalUSearchCap(s.ID, 1<<16)
-		if err != nil {
-			return nil, err
-		}
-		us[s.ID] = u
+	us, err := workload.Inflate(set, analyzer, 1<<16)
+	if err != nil {
+		return nil, err
 	}
 	simulator, err := sim.New(set, sim.Config{
 		Cycles:  spec.Cycles,

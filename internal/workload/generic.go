@@ -50,10 +50,7 @@ func GenerateOn(t topology.Topology, cfg Config) (*stream.Set, *core.Analyzer, e
 	if err != nil {
 		return nil, nil, err
 	}
-	if !cfg.InflatePeriods {
-		return set, a, nil
-	}
-	return inflatePeriods(set, a, cfg)
+	return finish(set, a, cfg)
 }
 
 // validateOn checks the topology-independent fields against t.

@@ -143,54 +143,5 @@ func GeneratePattern(cfg Config, pattern Pattern) (*stream.Set, *core.Analyzer, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if !cfg.InflatePeriods {
-		return set, a, nil
-	}
-	return inflatePeriods(set, a, cfg)
-}
-
-// inflatePeriods applies the paper's accommodation rule (shared by
-// Generate and GeneratePattern).
-func inflatePeriods(set *stream.Set, a *core.Analyzer, cfg Config) (*stream.Set, *core.Analyzer, error) {
-	ucap := cfg.UCap
-	if ucap == 0 {
-		ucap = 1 << 16
-	}
-	var err error
-	for pass := 0; pass < 8; pass++ {
-		changed := false
-		calc := a.NewCalc()
-		for _, s := range set.Streams {
-			u, err := calc.CalUSearchCap(s.ID, ucap)
-			if err != nil {
-				return nil, nil, err
-			}
-			if u > s.Period {
-				s.Period = u
-				s.Deadline = u
-				changed = true
-			} else if u < 0 {
-				// Inflating past the search cap is pointless (the
-				// capped Cal_U search cannot use it) and the clamp
-				// keeps the quadrupling provably inside int64.
-				p := s.Period
-				if p < 1 {
-					p = 1
-				}
-				if p > core.MaxSearchHorizon/4 {
-					p = core.MaxSearchHorizon / 4
-				}
-				s.Period = p * 4
-				s.Deadline = s.Period
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-		if a, err = core.NewAnalyzer(set); err != nil {
-			return nil, nil, err
-		}
-	}
-	return set, a, nil
+	return finish(set, a, cfg)
 }

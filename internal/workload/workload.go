@@ -111,14 +111,109 @@ func Generate(cfg Config) (*stream.Set, *core.Analyzer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if !cfg.InflatePeriods {
-		return set, a, nil
+	return finish(set, a, cfg)
+}
+
+// finish applies the accommodation rule when the configuration asks
+// for it (shared by every generator).
+func finish(set *stream.Set, a *core.Analyzer, cfg Config) (*stream.Set, *core.Analyzer, error) {
+	if cfg.InflatePeriods {
+		if _, err := Inflate(set, a, cfg.UCap); err != nil {
+			return nil, nil, err
+		}
 	}
-	// The paper's accommodation rule: if U_i > T_i, raise T_i (and the
-	// deadline) to U_i. Raising periods only lowers interference, so a
-	// bound computed against the heavier pre-inflation demand remains
-	// valid; a few passes reach a fixpoint. Streams saturated past the
-	// search cap have their periods quadrupled instead, turning them
-	// into sporadic background traffic.
-	return inflatePeriods(set, a, cfg)
+	return set, a, nil
+}
+
+// maxInflatePasses bounds the accommodation rule's passes over a set.
+const maxInflatePasses = 8
+
+// Inflate applies the paper's accommodation rule to set in place: if
+// U_i > T_i, raise T_i (and the deadline) to U_i. Raising periods only
+// lowers interference, so a bound computed against the heavier
+// pre-inflation demand remains valid; passes over the set in ID order
+// reach a fixpoint, and at most eight are made. Streams with no bound
+// within ucap flit times (0 means 65536, as for Config.UCap) have their
+// periods quadrupled instead, turning them into sporadic background
+// traffic. It returns every stream's CalUSearchCap(id, ucap) against
+// the final periods, indexed by stream ID.
+//
+// a must be an analyzer of set, and it stays one: HP sets depend only
+// on paths and priorities, and Cal_U reads periods from the set. A
+// stream's bound depends only on the periods of its HP set's members,
+// itself included, so a pass recomputes a stream only when one of them
+// changed after its last computation. Every other stream would compute
+// the same bound and keep its period, so the periods are exactly those
+// of recomputing every stream on every pass.
+func Inflate(set *stream.Set, a *core.Analyzer, ucap int) ([]int, error) {
+	return inflate(set, a, ucap, maxInflatePasses)
+}
+
+// inflate is Inflate with an explicit pass limit.
+func inflate(set *stream.Set, a *core.Analyzer, ucap, maxPasses int) ([]int, error) {
+	if ucap == 0 {
+		ucap = 1 << 16
+	}
+	us := make([]int, set.Len())
+	stale := make([]bool, set.Len())
+	for i := range stale {
+		stale[i] = true
+	}
+	calc := a.NewCalc()
+	for pass := 0; pass < maxPasses; pass++ {
+		changed := false
+		for _, s := range set.Streams {
+			if !stale[s.ID] {
+				continue
+			}
+			stale[s.ID] = false
+			u, err := calc.CalUSearchCap(s.ID, ucap)
+			if err != nil {
+				return nil, err
+			}
+			us[s.ID] = u
+			switch {
+			case u > s.Period:
+				s.Period = u
+			case u < 0:
+				// Inflating past the search cap is pointless (the
+				// capped Cal_U search cannot use it) and the clamp
+				// keeps the quadrupling provably inside int64.
+				p := s.Period
+				if p < 1 {
+					p = 1
+				}
+				if p > core.MaxSearchHorizon/4 {
+					p = core.MaxSearchHorizon / 4
+				}
+				s.Period = p * 4
+			default:
+				continue
+			}
+			s.Deadline = s.Period
+			changed = true
+			deps, err := a.Dependents(s.ID)
+			if err != nil {
+				return nil, err
+			}
+			for _, d := range deps {
+				stale[d] = true
+			}
+		}
+		if !changed {
+			return us, nil
+		}
+	}
+	// The pass limit stopped the rule short of a fixpoint: bring the
+	// bounds the last changes made stale up to date, periods unchanged.
+	for _, s := range set.Streams {
+		if stale[s.ID] {
+			u, err := calc.CalUSearchCap(s.ID, ucap)
+			if err != nil {
+				return nil, err
+			}
+			us[s.ID] = u
+		}
+	}
+	return us, nil
 }
