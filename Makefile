@@ -22,7 +22,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rtwlint ./...
 
-# Apply every suggested fix rtwlint knows (defer cancel() insertion,
+# Apply every suggested fix rtwlint knows (defer-unlock rewrites,
 # stale-directive deletion); exits non-zero when unfixable findings
 # remain. CI runs this and fails if it would produce a diff — fixable
 # findings must not be committed.
@@ -95,9 +95,12 @@ reproduce:
 quick-reproduce:
 	$(GO) run ./cmd/reproduce -out out -quick
 
+# -fuzz takes one target per run, so each pattern is anchored:
+# FuzzDiagram alone would also match FuzzDiagramDifferential.
 fuzz:
-	$(GO) test -fuzz=FuzzDiagram -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzDecodeSet -fuzztime=30s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz='^FuzzDiagram$$' -fuzztime=30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz='^FuzzDiagramDifferential$$' -fuzztime=30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeSet$$' -fuzztime=30s ./internal/stream/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

@@ -537,18 +537,20 @@ func benchName(prefix string, v int) string {
 
 // ----- Online admission (internal/admit) ---------------------------------
 //
-// The pair below measures the value of incremental recomputation: one
-// stream churns (withdraw + re-admit) against a standing 50-stream
-// paper workload on the 10×10 mesh. The Incremental variant recomputes
-// only the HP-set dependents of the churned stream; the Full variant
-// (Config.FullRecompute) re-derives every bound, which is exactly the
-// offline Determine-Feasibility cost. Same controller, same code path,
-// same verdicts — the only difference is the dirty set.
+// The pair below measures the value of incremental recomputation: a
+// clone of one stream is probe-admitted against a standing 50-stream
+// paper workload on the 10×10 mesh. The Incremental variant runs the
+// controller, which recomputes only the HP-set dependents of the probe;
+// the Full variant runs the offline core.DetermineFeasibilityParallel
+// over the same 51-stream sets, which re-derives every bound. The
+// verdicts are the same (internal/admit's differential battery pins
+// them); the only difference is the dirty set.
 
-func admitBenchSetup(b *testing.B, full bool) (*admit.Controller, []admit.Spec, []admit.Handle) {
+// admitBenchSpecs returns the standing workload. Seed 13 yields one
+// where every stream stays feasible, so a probe never trips a
+// rejection.
+func admitBenchSpecs(b *testing.B) (topology.Topology, []admit.Spec) {
 	b.Helper()
-	// Seed 13 yields a workload where every stream stays feasible, so
-	// the churn below never trips a rejection.
 	set, _, err := workload.Generate(workload.PaperDefaults(50, 15, 13))
 	if err != nil {
 		b.Fatal(err)
@@ -561,7 +563,14 @@ func admitBenchSetup(b *testing.B, full bool) (*admit.Controller, []admit.Spec, 
 			Length: s.Length, Deadline: s.Deadline,
 		}
 	}
-	c, err := admit.New(set.Topology, admit.Config{FullRecompute: full})
+	return set.Topology, specs
+}
+
+// BenchmarkAdmitIncremental: one single-stream admit per iteration,
+// recomputing only the dirty bounds.
+func BenchmarkAdmitIncremental(b *testing.B) {
+	topo, specs := admitBenchSpecs(b)
+	c, err := admit.New(topo, admit.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -572,22 +581,15 @@ func admitBenchSetup(b *testing.B, full bool) (*admit.Controller, []admit.Spec, 
 	if !res.Admitted {
 		b.Fatalf("benchmark workload infeasible: %s", res.Rejection)
 	}
-	return c, specs, res.Handles
-}
-
-func benchAdmitChurn(b *testing.B, full bool) {
-	c, specs, _ := admitBenchSetup(b, full)
 	recomputed := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Probe-admit a clone of stream k against the standing 50: the
-		// feasibility work runs in full either way. Only the admit is
-		// on the clock — the withdraw below merely restores the state
-		// for the next iteration (an accepted probe is always the last
-		// stream, so removing it recreates the baseline exactly) and
-		// would otherwise dominate both variants identically.
-		k := i % len(specs)
-		res, err := c.Admit(specs[k])
+		// Probe-admit a clone of stream k against the standing 50. Only
+		// the admit is on the clock — the withdraw below merely restores
+		// the state for the next iteration (an accepted probe is always
+		// the last stream, so removing it recreates the baseline
+		// exactly).
+		res, err := c.Admit(specs[i%len(specs)])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -603,13 +605,35 @@ func benchAdmitChurn(b *testing.B, full bool) {
 	b.ReportMetric(float64(recomputed)/float64(b.N), "recomputed/op")
 }
 
-// BenchmarkAdmitIncremental: one single-stream admit per iteration,
-// recomputing only the dirty bounds.
-func BenchmarkAdmitIncremental(b *testing.B) { benchAdmitChurn(b, false) }
-
-// BenchmarkAdmitFull: the same churn with FullRecompute — the cost an
-// admission controller would pay without dirty-set invalidation.
-func BenchmarkAdmitFull(b *testing.B) { benchAdmitChurn(b, true) }
+// BenchmarkAdmitFull: the same probes through the offline test — the
+// cost an admission controller would pay without dirty-set
+// invalidation.
+func BenchmarkAdmitFull(b *testing.B) {
+	topo, specs := admitBenchSpecs(b)
+	r, err := routing.ForTopology(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	probes := make([]*stream.Set, len(specs))
+	for k := range probes {
+		probes[k] = stream.NewSet(topo)
+		for _, sp := range append(specs[:len(specs):len(specs)], specs[k]) {
+			if _, err := probes[k].Add(r, sp.Src, sp.Dst, sp.Priority, sp.Period, sp.Length, sp.Deadline); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	recomputed := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := core.DetermineFeasibilityParallel(probes[i%len(probes)], 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		recomputed += len(rep.Verdicts)
+	}
+	b.ReportMetric(float64(recomputed)/float64(b.N), "recomputed/op")
+}
 
 // ----- Design-space explorer ------------------------------------------
 

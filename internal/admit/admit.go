@@ -1,6 +1,8 @@
 // Package admit implements online admission control over the paper's
 // feasibility analysis: a concurrency-safe Controller owns a live
-// stream set and answers admit/withdraw requests incrementally.
+// stream set, answers admit/withdraw requests incrementally, and
+// publishes each commit as an immutable State that readers load
+// without waiting on a mutation.
 //
 // The paper frames Determine-Feasibility as a static, offline test,
 // but its data structures say exactly which streams a change can
@@ -23,7 +25,9 @@ package admit
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/routing"
@@ -103,12 +107,6 @@ type Config struct {
 	// RouterLatency is the per-hop router pipeline depth shared by the
 	// machine (0 = the paper's single-cycle model).
 	RouterLatency int
-	// FullRecompute disables the incremental dirty-set optimization:
-	// every mutation recomputes every bound, exactly as the offline
-	// test would. It exists as a paranoia escape hatch and as the
-	// baseline of BenchmarkAdmitFull; results are identical either way
-	// (pinned by the differential battery).
-	FullRecompute bool
 	// Router overrides the topology's canonical deterministic router
 	// (nil = canonical). The design-space explorer uses it to sweep
 	// routing policies (X-Y versus Y-X on a mesh) through the same
@@ -119,22 +117,30 @@ type Config struct {
 	Router routing.Router
 }
 
+// State is one committed state of a Controller. Every commit publishes
+// a new State and a published State is never modified, so one State is
+// always a consistent view: Report.Verdicts[i] belongs to Streams[i].
+// Callers share it and must not modify it either.
+type State struct {
+	Streams    []Admitted   // admission order; Streams[i].ID == i
+	Report     *core.Report // feasibility over Streams, from cached bounds
+	Stats      Stats
+	NextHandle Handle
+
+	set      *stream.Set    // the set the next mutation starts from
+	analyzer *core.Analyzer // over set
+}
+
 // Controller is a live admission controller. All methods are safe for
-// concurrent use; mutations serialize behind a write lock while
-// Report, Stats and Streams read concurrently.
+// concurrent use: mutations serialize on mu and publish a new State;
+// reads load the committed State and never wait on a mutation.
 type Controller struct {
 	topo   topology.Topology
 	router routing.Router
 	cfg    Config
 
-	mu         sync.RWMutex
-	set        *stream.Set    // dense, admission-ordered
-	analyzer   *core.Analyzer // over set
-	u          []int          // cached delay upper bound per stream ID
-	handles    []Handle       // handles[i] = handle of set.Streams[i]
-	byHandle   map[Handle]int // handle -> index into set.Streams
-	nextHandle Handle
-	stats      Stats
+	mu    sync.Mutex // taken by writers only
+	state atomic.Pointer[State]
 }
 
 // New returns an empty controller over t using its canonical
@@ -155,70 +161,41 @@ func New(t topology.Topology, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{
-		topo:       t,
-		router:     r,
-		cfg:        cfg,
-		set:        set,
-		analyzer:   a,
-		byHandle:   map[Handle]int{},
-		nextHandle: 1,
-	}, nil
+	c := &Controller{topo: t, router: r, cfg: cfg}
+	c.state.Store(&State{Report: verdicts(set, nil), NextHandle: 1, set: set, analyzer: a})
+	return c, nil
 }
 
 // Topology returns the machine the controller manages.
 func (c *Controller) Topology() topology.Topology { return c.topo }
 
+// State returns the committed state.
+func (c *Controller) State() *State { return c.state.Load() }
+
 // Len returns the number of admitted streams.
-func (c *Controller) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.set.Len()
-}
+func (c *Controller) Len() int { return len(c.State().Streams) }
 
-// Stats returns a snapshot of the counters.
-func (c *Controller) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.stats
-}
+// Stats returns the committed counters.
+func (c *Controller) Stats() Stats { return c.State().Stats }
 
-// Streams returns the admitted streams in admission order.
-func (c *Controller) Streams() []Admitted {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Admitted, c.set.Len())
-	for i, s := range c.set.Streams {
-		out[i] = Admitted{
-			Handle: c.handles[i],
-			ID:     s.ID,
-			Spec: Spec{
-				Src: s.Src, Dst: s.Dst,
-				Priority: s.Priority, Period: s.Period,
-				Length: s.Length, Deadline: s.Deadline,
-			},
-		}
-	}
-	return out
-}
+// Streams returns the admitted streams in admission order, shared with
+// the committed State.
+func (c *Controller) Streams() []Admitted { return c.State().Streams }
 
 // Report returns the feasibility report over the admitted streams,
-// assembled from the cached bounds — byte-identical to a fresh
-// core.DetermineFeasibility on the same set.
-func (c *Controller) Report() *core.Report {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.reportLocked()
-}
+// shared with the committed State. It is assembled from the cached
+// bounds and byte-identical to a fresh core.DetermineFeasibility on the
+// same set.
+func (c *Controller) Report() *core.Report { return c.State().Report }
 
-func (c *Controller) reportLocked() *core.Report {
-	rep := &core.Report{Feasible: true, Verdicts: make([]core.Verdict, c.set.Len())}
-	for i, s := range c.set.Streams {
-		rep.Verdicts[i] = core.Verdict{
-			ID: s.ID, U: c.u[i], Deadline: s.Deadline,
-			Feasible: c.u[i] >= 0 && c.u[i] <= s.Deadline,
-		}
-		if !rep.Verdicts[i].Feasible {
+// verdicts assembles the report over set from its bounds u, row for
+// row what core.DetermineFeasibility reports.
+func verdicts(set *stream.Set, u []int) *core.Report {
+	rep := &core.Report{Feasible: true, Verdicts: make([]core.Verdict, set.Len())}
+	for i, s := range set.Streams {
+		v := core.Verdict{ID: s.ID, U: u[i], Deadline: s.Deadline, Feasible: u[i] >= 0 && u[i] <= s.Deadline}
+		rep.Verdicts[i] = v
+		if !v.Feasible {
 			rep.Feasible = false
 		}
 	}
@@ -232,96 +209,101 @@ func (c *Controller) Admit(sp Spec) (*Result, error) {
 
 // AdmitBatch atomically admits a batch of streams: either every
 // candidate joins the running set (and every deadline — old and new —
-// still holds), or nothing changes and the Result carries the
-// Rejection. Admission order within the batch follows specs order.
+// still holds), or nothing but the counters changes and the Result
+// carries the Rejection. Admission order within the batch follows
+// specs order. Result.Report is shared with the committed State.
 func (c *Controller) AdmitBatch(specs []Spec) (*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("admit: empty batch")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	st := c.state.Load()
+	handles := make([]Handle, len(specs))
+	for k := range handles {
+		handles[k] = st.NextHandle + Handle(k)
+	}
+	res, next, err := c.admit(st, specs, handles)
+	if err != nil {
+		return nil, err
+	}
+	c.state.Store(next)
+	return res, nil
+}
 
-	n := c.set.Len()
+// admit tests specs, to be admitted under handles, against st. It
+// returns the result and the State to commit: st extended by the
+// candidates when every deadline holds, otherwise a copy of st with
+// only the counters changed.
+func (c *Controller) admit(st *State, specs []Spec, handles []Handle) (*Result, *State, error) {
+	n := st.set.Len()
 	cand := &stream.Set{
 		Topology:      c.topo,
-		RouterLatency: c.set.RouterLatency,
+		RouterLatency: st.set.RouterLatency,
 		Streams:       make([]*stream.Stream, n, n+len(specs)),
 	}
-	copy(cand.Streams, c.set.Streams)
+	copy(cand.Streams, st.set.Streams)
+	streams := make([]Admitted, n, n+len(specs))
+	copy(streams, st.Streams)
+	newIDs := make([]stream.ID, len(specs))
+	nextHandle := st.NextHandle
 	for k, sp := range specs {
 		path, err := c.router.Route(sp.Src, sp.Dst)
 		if err != nil {
-			return nil, fmt.Errorf("admit: candidate %d: %w", k, err)
+			return nil, nil, fmt.Errorf("admit: candidate %d: %w", k, err)
 		}
-		d := sp.Deadline
-		if d == 0 {
-			d = sp.Period
+		if sp.Deadline == 0 {
+			sp.Deadline = sp.Period
 		}
+		newIDs[k] = stream.ID(n + k)
 		cand.Streams = append(cand.Streams, &stream.Stream{
-			ID:       stream.ID(n + k),
+			ID:       newIDs[k],
 			Src:      sp.Src,
 			Dst:      sp.Dst,
 			Priority: sp.Priority,
 			Period:   sp.Period,
 			Length:   sp.Length,
-			Deadline: d,
+			Deadline: sp.Deadline,
 			Latency:  stream.NetworkLatencyWithRouter(path.Hops(), sp.Length, cand.RouterLatency),
 			Path:     path,
 		})
+		streams = append(streams, Admitted{Handle: handles[k], ID: newIDs[k], Spec: sp})
+		nextHandle = max(nextHandle, handles[k]+1)
 	}
 
 	// The candidate analyzer validates the combined set (bad parameters
-	// surface here) and carries the HP sets the dirty set is read from.
-	// The incremental path warm-starts the HP fixpoint from the live
-	// analyzer (core.Analyzer.Extend); the FullRecompute baseline
-	// rebuilds from scratch, exactly as the offline test would.
-	var a *core.Analyzer
-	var err error
-	if c.cfg.FullRecompute {
-		a, err = core.NewAnalyzer(cand)
-	} else {
-		a, err = c.analyzer.Extend(cand)
-	}
+	// surface here) and carries the HP sets the dirty set is read from;
+	// it warm-starts the HP fixpoint from the committed analyzer.
+	a, err := st.analyzer.Extend(cand)
 	if err != nil {
-		return nil, fmt.Errorf("admit: %w", err)
+		return nil, nil, fmt.Errorf("admit: %w", err)
 	}
-	newIDs := make([]stream.ID, len(specs))
-	for k := range specs {
-		newIDs[k] = stream.ID(n + k)
-	}
-	dirty, err := c.dirtySet(a, cand.Len(), newIDs)
+	dirty, err := a.Dependents(newIDs...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	us, err := a.CalUBatchParallel(dirty, c.cfg.Workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Merge cached and recomputed bounds; candidates are always dirty
 	// (every HP set contains its owner), so every slot is filled.
-	newU := make([]int, cand.Len())
-	copy(newU, c.u)
+	u := make([]int, cand.Len())
+	for i, v := range st.Report.Verdicts {
+		u[i] = v.U
+	}
 	for k, id := range dirty {
-		newU[id] = us[k]
+		u[id] = us[k]
 	}
 
-	res := &Result{Recomputed: len(dirty)}
-	res.Report = &core.Report{Feasible: true, Verdicts: make([]core.Verdict, cand.Len())}
-	for i, s := range cand.Streams {
-		res.Report.Verdicts[i] = core.Verdict{
-			ID: s.ID, U: newU[i], Deadline: s.Deadline,
-			Feasible: newU[i] >= 0 && newU[i] <= s.Deadline,
-		}
-		if !res.Report.Verdicts[i].Feasible {
-			res.Report.Feasible = false
-		}
-	}
-	c.stats.Recomputed += int64(len(dirty))
-	c.stats.Cached += int64(cand.Len() - len(dirty))
+	res := &Result{Report: verdicts(cand, u), Recomputed: len(dirty)}
+	next := *st
+	next.Stats.Recomputed += int64(len(dirty))
+	next.Stats.Cached += int64(cand.Len() - len(dirty))
 
 	if !res.Report.Feasible {
-		// Roll back: the candidate state was never installed. Name the
+		// Roll back: the candidate state is never published. Name the
 		// first violated stream.
 		for _, v := range res.Report.Verdicts {
 			if v.Feasible {
@@ -329,31 +311,22 @@ func (c *Controller) AdmitBatch(specs []Spec) (*Result, error) {
 			}
 			res.Rejection = &Rejection{Stream: v.ID, U: v.U, Deadline: v.Deadline}
 			if int(v.ID) < n {
-				res.Rejection.Handle = c.handles[v.ID]
+				res.Rejection.Handle = st.Streams[v.ID].Handle
 			} else {
 				res.Rejection.New = true
 			}
 			break
 		}
-		c.stats.Rejected++
-		return res, nil
+		next.Stats.Rejected++
+		return res, &next, nil
 	}
 
-	// Commit.
 	res.Admitted = true
-	res.Handles = make([]Handle, len(specs))
-	for k := range specs {
-		h := c.nextHandle
-		c.nextHandle++
-		res.Handles[k] = h
-		c.handles = append(c.handles, h)
-		c.byHandle[h] = n + k
-	}
-	c.set = cand
-	c.analyzer = a
-	c.u = newU
-	c.stats.Admitted += int64(len(specs))
-	return res, nil
+	res.Handles = handles
+	next.Streams, next.Report, next.NextHandle = streams, res.Report, nextHandle
+	next.set, next.analyzer = cand, a
+	next.Stats.Admitted += int64(len(specs))
+	return res, &next, nil
 }
 
 // Withdraw atomically removes the given streams, recomputing only the
@@ -367,12 +340,14 @@ func (c *Controller) Withdraw(handles ...Handle) (int, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	st := c.state.Load()
 
-	leaving := make(map[int]bool, len(handles))
+	n := len(st.Streams)
+	leaving := make([]bool, n)
 	ids := make([]stream.ID, 0, len(handles))
 	for _, h := range handles {
-		i, ok := c.byHandle[h]
-		if !ok {
+		i := slices.IndexFunc(st.Streams, func(ad Admitted) bool { return ad.Handle == h })
+		if i < 0 {
 			return 0, fmt.Errorf("admit: no stream with handle %d", h)
 		}
 		if leaving[i] {
@@ -382,36 +357,39 @@ func (c *Controller) Withdraw(handles ...Handle) (int, error) {
 		ids = append(ids, stream.ID(i))
 	}
 
-	// Dirty set read off the old HP sets (the ones still containing
-	// the leaving streams), then mapped to the compacted ID space.
-	dirtyOld, err := c.dirtySet(c.analyzer, c.set.Len(), ids)
+	// Dirty set read off the committed HP sets (the ones still
+	// containing the leaving streams), then mapped to the compacted ID
+	// space.
+	dirtyOld, err := st.analyzer.Dependents(ids...)
 	if err != nil {
 		return 0, err
 	}
 
-	n := c.set.Len()
 	survivors := &stream.Set{
 		Topology:      c.topo,
-		RouterLatency: c.set.RouterLatency,
-		Streams:       make([]*stream.Stream, 0, n-len(handles)),
+		RouterLatency: st.set.RouterLatency,
+		Streams:       make([]*stream.Stream, 0, n-len(ids)),
 	}
+	streams := make([]Admitted, 0, n-len(ids))
+	u := make([]int, 0, n-len(ids))
 	newIdx := make([]int, n) // old index -> new index, -1 when leaving
-	newHandles := make([]Handle, 0, n-len(handles))
-	oldIdx := make([]int, 0, n-len(handles))
-	for i, s := range c.set.Streams {
+	for i, s := range st.set.Streams {
 		if leaving[i] {
 			newIdx[i] = -1
 			continue
 		}
-		newIdx[i] = len(survivors.Streams)
-		if int(s.ID) != len(survivors.Streams) {
+		id := stream.ID(len(survivors.Streams))
+		newIdx[i] = int(id)
+		if s.ID != id {
 			s2 := *s
-			s2.ID = stream.ID(len(survivors.Streams))
+			s2.ID = id
 			s = &s2
 		}
 		survivors.Streams = append(survivors.Streams, s)
-		newHandles = append(newHandles, c.handles[i])
-		oldIdx = append(oldIdx, i)
+		ad := st.Streams[i]
+		ad.ID = id
+		streams = append(streams, ad)
+		u = append(u, st.Report.Verdicts[i].U)
 	}
 
 	a, err := core.NewAnalyzer(survivors)
@@ -428,39 +406,16 @@ func (c *Controller) Withdraw(handles ...Handle) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	newU := make([]int, survivors.Len())
-	for ni, oi := range oldIdx {
-		newU[ni] = c.u[oi]
-	}
 	for k, id := range dirty {
-		newU[id] = us[k]
+		u[id] = us[k]
 	}
 
-	// Commit.
-	c.set = survivors
-	c.analyzer = a
-	c.u = newU
-	c.handles = newHandles
-	c.byHandle = make(map[Handle]int, len(newHandles))
-	for i, h := range newHandles {
-		c.byHandle[h] = i
-	}
-	c.stats.Withdrawn += int64(len(handles))
-	c.stats.Recomputed += int64(len(dirty))
-	c.stats.Cached += int64(survivors.Len() - len(dirty))
+	next := *st
+	next.Streams, next.Report = streams, verdicts(survivors, u)
+	next.set, next.analyzer = survivors, a
+	next.Stats.Withdrawn += int64(len(handles))
+	next.Stats.Recomputed += int64(len(dirty))
+	next.Stats.Cached += int64(survivors.Len() - len(dirty))
+	c.state.Store(&next)
 	return len(dirty), nil
-}
-
-// dirtySet returns the IDs whose bound a mutation of targets can
-// change: the targets' dependents, or every stream when the
-// incremental path is disabled.
-func (c *Controller) dirtySet(a *core.Analyzer, total int, targets []stream.ID) ([]stream.ID, error) {
-	if c.cfg.FullRecompute {
-		all := make([]stream.ID, total)
-		for i := range all {
-			all[i] = stream.ID(i)
-		}
-		return all, nil
-	}
-	return a.Dependents(targets...)
 }

@@ -3,6 +3,7 @@ package admit
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -83,8 +84,7 @@ func assertReportsIdentical(t *testing.T, got, want *core.Report, label string) 
 // TestDifferentialAdmitWithdraw is the acceptance-criterion battery:
 // seeded-random admit/withdraw sequences through the controller, with
 // the report checked byte-identical against the offline oracle after
-// every step. Both the incremental and the FullRecompute controller
-// run the same sequence, so the escape hatch is pinned too.
+// every step.
 func TestDifferentialAdmitWithdraw(t *testing.T) {
 	trials, steps := 25, 30
 	if testing.Short() {
@@ -101,8 +101,7 @@ func TestDifferentialAdmitWithdraw(t *testing.T) {
 		default:
 			topo = topology.NewHypercube(4)
 		}
-		full := trial%5 == 4
-		c, err := New(topo, Config{FullRecompute: full})
+		c, err := New(topo, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +200,8 @@ func TestDifferentialWorkloadScale(t *testing.T) {
 // race step covers internal/admit): goroutines admit, withdraw and
 // read concurrently, then the surviving population is checked against
 // the offline oracle. Mutations serialize inside the controller, so
-// every interleaving must leave a coherent set.
+// every interleaving must leave a coherent set, and every State read
+// mid-hammer must be one commit: its report rows match its streams.
 func TestConcurrentAdmitHammer(t *testing.T) {
 	topo := topology.NewMesh2D(8, 8)
 	c, err := New(topo, Config{})
@@ -236,9 +236,10 @@ func TestConcurrentAdmitHammer(t *testing.T) {
 						mine = append(mine[:k], mine[k+1:]...)
 					}
 				}
-				_ = c.Report()
-				_ = c.Stats()
-				_ = c.Streams()
+				if err := checkState(c.State()); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			// results slots are disjoint per goroutine; wg.Wait orders
 			// the reads.
@@ -276,4 +277,18 @@ func TestConcurrentAdmitHammer(t *testing.T) {
 		specs[i] = sp
 	}
 	assertReportsIdentical(t, c.Report(), mirrorReport(t, topo, specs), "post-hammer")
+}
+
+// checkState reports a State whose report rows do not belong to its
+// streams.
+func checkState(st *State) error {
+	if len(st.Streams) != len(st.Report.Verdicts) {
+		return fmt.Errorf("state holds %d streams but %d verdicts", len(st.Streams), len(st.Report.Verdicts))
+	}
+	for i, v := range st.Report.Verdicts {
+		if int(v.ID) != i || v.Deadline != st.Streams[i].Spec.Deadline {
+			return fmt.Errorf("verdict %d (%+v) does not belong to stream %+v", i, v, st.Streams[i])
+		}
+	}
+	return nil
 }

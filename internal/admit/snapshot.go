@@ -29,35 +29,35 @@ type Snapshot struct {
 	Streams       []SnapshotStream    `json:"streams"`
 }
 
-// Snapshot captures the controller's current state.
+// Snapshot captures the controller's committed state.
 func (c *Controller) Snapshot() (*Snapshot, error) {
+	st := c.State()
 	ts, err := stream.SpecForTopology(c.topo)
 	if err != nil {
 		return nil, fmt.Errorf("admit: %w", err)
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	sn := &Snapshot{
 		Topology:      ts,
-		RouterLatency: c.set.RouterLatency,
-		NextHandle:    c.nextHandle,
-		Streams:       make([]SnapshotStream, c.set.Len()),
+		RouterLatency: st.set.RouterLatency,
+		NextHandle:    st.NextHandle,
+		Streams:       make([]SnapshotStream, len(st.Streams)),
 	}
-	for i, s := range c.set.Streams {
+	for i, ad := range st.Streams {
+		sp := ad.Spec
 		sn.Streams[i] = SnapshotStream{
-			Handle: c.handles[i],
-			Src:    int(s.Src), Dst: int(s.Dst),
-			Priority: s.Priority, Period: s.Period,
-			Length: s.Length, Deadline: s.Deadline,
+			Handle: ad.Handle,
+			Src:    int(sp.Src), Dst: int(sp.Dst),
+			Priority: sp.Priority, Period: sp.Period,
+			Length: sp.Length, Deadline: sp.Deadline,
 		}
 	}
 	return sn, nil
 }
 
-// Restore rebuilds a controller from a snapshot: it re-admits every
-// stream in one batch (recomputing all bounds — the restored report is
-// exactly a fresh full analysis) and reinstates the recorded handles.
-// A snapshot whose traffic no longer passes the feasibility test — a
+// Restore rebuilds a controller from a snapshot: it admits every
+// stream in one batch under its recorded handle (recomputing all
+// bounds — the restored report is exactly a fresh full analysis). A
+// snapshot whose traffic no longer passes the feasibility test — a
 // corrupt or hand-edited file — is refused rather than partially
 // loaded.
 func Restore(sn *Snapshot, cfg Config) (*Controller, error) {
@@ -74,15 +74,9 @@ func Restore(sn *Snapshot, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("admit: restore: %w", err)
 	}
-	if len(sn.Streams) == 0 {
-		if sn.NextHandle > c.nextHandle {
-			c.nextHandle = sn.NextHandle
-		}
-		return c, nil
-	}
 	seen := make(map[Handle]bool, len(sn.Streams))
 	specs := make([]Spec, len(sn.Streams))
-	maxHandle := Handle(0)
+	handles := make([]Handle, len(sn.Streams))
 	for i, ss := range sn.Streams {
 		if ss.Handle <= 0 {
 			return nil, fmt.Errorf("admit: restore: stream %d has invalid handle %d", i, ss.Handle)
@@ -91,19 +85,17 @@ func Restore(sn *Snapshot, cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("admit: restore: handle %d repeated", ss.Handle)
 		}
 		seen[ss.Handle] = true
-		if ss.Handle > maxHandle {
-			maxHandle = ss.Handle
-		}
+		handles[i] = ss.Handle
 		specs[i] = Spec{
 			Src: topology.NodeID(ss.Src), Dst: topology.NodeID(ss.Dst),
 			Priority: ss.Priority, Period: ss.Period,
 			Length: ss.Length, Deadline: ss.Deadline,
 		}
 	}
-	res, err := c.AdmitBatch(specs)
+	res, st, err := c.admit(c.State(), specs, handles)
 	if err != nil {
-		// AdmitBatch's "candidate %d" indexes specs, which is the
-		// snapshot's stream order — the error already names the stream.
+		// admit's "candidate %d" indexes specs, which is the snapshot's
+		// stream order — the error already names the stream.
 		return nil, fmt.Errorf("admit: restore: %w", err)
 	}
 	if !res.Admitted {
@@ -115,21 +107,11 @@ func Restore(sn *Snapshot, cfg Config) (*Controller, error) {
 		}
 		return nil, fmt.Errorf("admit: restore: snapshot traffic infeasible at %s: %s", who, rej)
 	}
-	// Reinstate the recorded handles over the freshly assigned ones.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.byHandle = make(map[Handle]int, len(sn.Streams))
-	for i, ss := range sn.Streams {
-		c.handles[i] = ss.Handle
-		c.byHandle[ss.Handle] = i
-	}
-	c.nextHandle = maxHandle + 1
-	if sn.NextHandle > c.nextHandle {
-		c.nextHandle = sn.NextHandle
-	}
 	// Restore is a boot-time reconstruction, not live traffic: the
 	// counters restart from zero rather than double-counting admissions
-	// that happened in a previous life.
-	c.stats = Stats{}
+	// that happened in a previous life. st is not yet published.
+	st.Stats = Stats{}
+	st.NextHandle = max(st.NextHandle, sn.NextHandle)
+	c.state.Store(st)
 	return c, nil
 }

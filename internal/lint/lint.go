@@ -23,8 +23,6 @@
 //
 //   - lockorder: no double-locking of a sync.Mutex/RWMutex instance, no
 //     ABBA acquisition-order inversions between lock classes.
-//   - lostcancel: a context.WithCancel/WithTimeout/WithDeadline cancel
-//     func must be called on every path out of the function.
 //   - nilerr: a call's result value must not be consumed on a path
 //     where the accompanying error was never checked.
 //   - loopcapture: go/defer closures must not capture variables the
@@ -70,7 +68,6 @@ func init() {
 		Intoverflow,
 		Lockorder,
 		Loopcapture,
-		Lostcancel,
 		Nilerr,
 		Shiftwidth,
 		Unlockpath,

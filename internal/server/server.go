@@ -22,8 +22,8 @@
 // the daemon keeps serving from memory (the operator loses restart
 // durability, not traffic).
 //
-// Overload protection: mutations serialize behind the controller's
-// write lock, so under sustained overload they would otherwise queue
+// Overload protection: mutations serialize behind the server's commit
+// lock, so under sustained overload they would otherwise queue
 // without bound and convert into client timeouts. With
 // MaxQueuedMutations set, at most that many mutation requests are in
 // the building at once (executing plus waiting); the rest wait up to
@@ -101,10 +101,15 @@ type Server struct {
 	retryAfter time.Duration
 	overload   atomic.Int64 // mutations shed with 429
 
-	mu           sync.Mutex
-	admitLat     hist.H // admit mutation latency, µs (recompute included)
-	withdrawLat  hist.H // withdraw mutation latency, µs
-	snapshotErrs int64
+	// commitMu serializes mutations from the controller call through
+	// the snapshot write, so snapshots land in commit order. It is
+	// taken before the controller's lock, never after.
+	commitMu     sync.Mutex
+	snapshotErrs atomic.Int64
+
+	mu          sync.Mutex // guards the histograms
+	admitLat    hist.H     // admit mutation latency, µs (recompute included)
+	withdrawLat hist.H     // withdraw mutation latency, µs
 }
 
 // New wires the routes and returns a server ready to Serve.
@@ -314,13 +319,7 @@ func (s *Server) handleAdmitStream(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	release, ok := s.acquireMutation(r.Context())
-	if !ok {
-		s.shed(w)
-		return
-	}
-	defer release()
-	s.admit(w, []admit.Spec{req.spec()})
+	s.mutate(w, r, &s.admitLat, s.admit([]admit.Spec{req.spec()}))
 }
 
 func (s *Server) handleAdmitJob(w http.ResponseWriter, r *http.Request) {
@@ -336,57 +335,55 @@ func (s *Server) handleAdmitJob(w http.ResponseWriter, r *http.Request) {
 	for i, sr := range req.Streams {
 		specs[i] = sr.spec()
 	}
-	release, ok := s.acquireMutation(r.Context())
-	if !ok {
-		s.shed(w)
-		return
-	}
-	defer release()
-	s.admit(w, specs)
+	s.mutate(w, r, &s.admitLat, s.admit(specs))
 }
 
-// admit runs one admission mutation end to end: the controller call,
-// the latency observation, the snapshot write, and the response.
-func (s *Server) admit(w http.ResponseWriter, specs []admit.Spec) {
-	if s.delay > 0 {
-		time.Sleep(s.delay)
+// admit is the controller call behind both admission routes.
+func (s *Server) admit(specs []admit.Spec) mutation {
+	return func() (int, any, error) {
+		res, err := s.ctl.AdmitBatch(specs)
+		if err != nil {
+			return http.StatusBadRequest, nil, err
+		}
+		if !res.Admitted {
+			return http.StatusConflict, ErrorResponse{
+				Error:     "infeasible: " + res.Rejection.String(),
+				Rejection: res.Rejection,
+			}, nil
+		}
+		return http.StatusOK, AdmitResponse{
+			Handles:    res.Handles,
+			Recomputed: res.Recomputed,
+			Feasible:   res.Report.Feasible,
+		}, nil
 	}
-	t0 := time.Now()
-	res, err := s.ctl.AdmitBatch(specs)
-	elapsed := time.Since(t0)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	s.mu.Lock()
-	s.admitLat.Observe(int(elapsed.Microseconds()))
-	s.mu.Unlock()
-	if !res.Admitted {
-		writeJSON(w, http.StatusConflict, ErrorResponse{
-			Error:     "infeasible: " + res.Rejection.String(),
-			Rejection: res.Rejection,
-		})
-		return
-	}
-	if err := s.persist(); err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{
-			Error: fmt.Sprintf("snapshot: %v", err), Committed: true,
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, AdmitResponse{
-		Handles:    res.Handles,
-		Recomputed: res.Recomputed,
-		Feasible:   res.Report.Feasible,
-	})
 }
 
 func (s *Server) handleWithdraw(w http.ResponseWriter, r *http.Request) {
-	var handle int64
-	if _, err := fmt.Sscanf(r.PathValue("handle"), "%d", &handle); err != nil || handle <= 0 {
+	handle, err := strconv.ParseInt(r.PathValue("handle"), 10, 64)
+	if err != nil || handle <= 0 {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed handle"})
 		return
 	}
+	s.mutate(w, r, &s.withdrawLat, func() (int, any, error) {
+		recomputed, err := s.ctl.Withdraw(admit.Handle(handle))
+		if err != nil {
+			return http.StatusNotFound, nil, err
+		}
+		return http.StatusOK, map[string]int{"recomputed": recomputed}, nil
+	})
+}
+
+// A mutation is one controller call and the response it earns: a
+// status and body, or a status and the controller's error.
+type mutation func() (code int, body any, err error)
+
+// mutate is the pipeline every mutating route runs: a queue slot (or
+// 429), MutationDelay, then under the commit lock the controller call,
+// its latency observation into lat and, on 200, the snapshot write;
+// the response is written after the lock is released, so a slow client
+// never holds it.
+func (s *Server) mutate(w http.ResponseWriter, r *http.Request, lat *hist.H, call mutation) {
 	release, ok := s.acquireMutation(r.Context())
 	if !ok {
 		s.shed(w)
@@ -396,23 +393,32 @@ func (s *Server) handleWithdraw(w http.ResponseWriter, r *http.Request) {
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
+	code, body := s.commit(lat, call)
+	writeJSON(w, code, body)
+}
+
+// commit runs call under the commit lock; see mutate.
+func (s *Server) commit(lat *hist.H, call mutation) (int, any) {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	t0 := time.Now()
-	recomputed, err := s.ctl.Withdraw(admit.Handle(handle))
+	code, body, err := call()
 	elapsed := time.Since(t0)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: err.Error()})
-		return
+		return code, ErrorResponse{Error: err.Error()}
 	}
 	s.mu.Lock()
-	s.withdrawLat.Observe(int(elapsed.Microseconds()))
+	lat.Observe(int(elapsed.Microseconds()))
 	s.mu.Unlock()
-	if err := s.persist(); err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{
-			Error: fmt.Sprintf("snapshot: %v", err), Committed: true,
-		})
-		return
+	if code != http.StatusOK {
+		return code, body
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"recomputed": recomputed})
+	if err := s.persist(); err != nil {
+		return http.StatusInternalServerError, ErrorResponse{
+			Error: fmt.Sprintf("snapshot: %v", err), Committed: true,
+		}
+	}
+	return code, body
 }
 
 func (s *Server) handleListStreams(w http.ResponseWriter, _ *http.Request) {
@@ -430,28 +436,13 @@ func (s *Server) handleListStreams(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, _ *http.Request) {
-	// Streams and Report are two reads of one controller; admissions
-	// between them could skew the join, so take them in one breath via
-	// Streams (which carries the handle mapping) and the cached report.
-	admitted := s.ctl.Streams()
-	rep := s.ctl.Report()
-	if len(rep.Verdicts) != len(admitted) {
-		// A mutation slid between the two reads; retry once with the
-		// report first — two racing reads cannot both lose.
-		rep = s.ctl.Report()
-		admitted = s.ctl.Streams()
-		if len(rep.Verdicts) > len(admitted) {
-			rep.Verdicts = rep.Verdicts[:len(admitted)]
-		}
-	}
-	out := ReportResponse{Feasible: rep.Feasible, Streams: len(rep.Verdicts)}
-	out.Verdicts = make([]VerdictResponse, len(rep.Verdicts))
-	for i, v := range rep.Verdicts {
+	st := s.ctl.State()
+	out := ReportResponse{Feasible: st.Report.Feasible, Streams: len(st.Report.Verdicts)}
+	out.Verdicts = make([]VerdictResponse, len(st.Report.Verdicts))
+	for i, v := range st.Report.Verdicts {
 		out.Verdicts[i] = VerdictResponse{
-			ID: int(v.ID), U: v.U, Deadline: v.Deadline, Feasible: v.Feasible,
-		}
-		if i < len(admitted) {
-			out.Verdicts[i].Handle = admitted[i].Handle
+			ID: int(v.ID), Handle: st.Streams[i].Handle,
+			U: v.U, Deadline: v.Deadline, Feasible: v.Feasible,
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -465,32 +456,31 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics renders the counters and latency histograms in the
 // Prometheus text exposition format, deterministically ordered.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	st := s.ctl.Stats()
+	st := s.ctl.State()
 	s.mu.Lock()
 	admitLat, withdrawLat := s.admitLat, s.withdrawLat
-	snapErrs := s.snapshotErrs
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprintf(w, "# HELP rtwormd_streams Streams currently admitted.\n")
 	fmt.Fprintf(w, "# TYPE rtwormd_streams gauge\n")
-	fmt.Fprintf(w, "rtwormd_streams %d\n", s.ctl.Len())
+	fmt.Fprintf(w, "rtwormd_streams %d\n", len(st.Streams))
 	fmt.Fprintf(w, "# TYPE rtwormd_inflight_requests gauge\n")
 	fmt.Fprintf(w, "rtwormd_inflight_requests %d\n", s.InFlight())
 	fmt.Fprintf(w, "# TYPE rtwormd_admitted_total counter\n")
-	fmt.Fprintf(w, "rtwormd_admitted_total %d\n", st.Admitted)
+	fmt.Fprintf(w, "rtwormd_admitted_total %d\n", st.Stats.Admitted)
 	fmt.Fprintf(w, "# TYPE rtwormd_rejected_total counter\n")
-	fmt.Fprintf(w, "rtwormd_rejected_total %d\n", st.Rejected)
+	fmt.Fprintf(w, "rtwormd_rejected_total %d\n", st.Stats.Rejected)
 	fmt.Fprintf(w, "# TYPE rtwormd_withdrawn_total counter\n")
-	fmt.Fprintf(w, "rtwormd_withdrawn_total %d\n", st.Withdrawn)
+	fmt.Fprintf(w, "rtwormd_withdrawn_total %d\n", st.Stats.Withdrawn)
 	fmt.Fprintf(w, "# HELP rtwormd_recomputed_bounds_total Delay bounds recomputed across mutations.\n")
 	fmt.Fprintf(w, "# TYPE rtwormd_recomputed_bounds_total counter\n")
-	fmt.Fprintf(w, "rtwormd_recomputed_bounds_total %d\n", st.Recomputed)
+	fmt.Fprintf(w, "rtwormd_recomputed_bounds_total %d\n", st.Stats.Recomputed)
 	fmt.Fprintf(w, "# HELP rtwormd_cached_bounds_total Delay bounds served from cache across mutations.\n")
 	fmt.Fprintf(w, "# TYPE rtwormd_cached_bounds_total counter\n")
-	fmt.Fprintf(w, "rtwormd_cached_bounds_total %d\n", st.Cached)
+	fmt.Fprintf(w, "rtwormd_cached_bounds_total %d\n", st.Stats.Cached)
 	fmt.Fprintf(w, "# TYPE rtwormd_snapshot_errors_total counter\n")
-	fmt.Fprintf(w, "rtwormd_snapshot_errors_total %d\n", snapErrs)
+	fmt.Fprintf(w, "rtwormd_snapshot_errors_total %d\n", s.snapshotErrs.Load())
 	fmt.Fprintf(w, "# HELP rtwormd_overload_shed_total Mutations shed with 429 because the queue was full.\n")
 	fmt.Fprintf(w, "# TYPE rtwormd_overload_shed_total counter\n")
 	fmt.Fprintf(w, "rtwormd_overload_shed_total %d\n", s.overload.Load())
@@ -520,22 +510,21 @@ func writeHist(w io.Writer, name, help string, h *hist.H) {
 	fmt.Fprintf(w, "%s_sum %d\n", name, int64(mean*float64(h.Count())))
 }
 
-// persist writes the controller snapshot to the configured path with
-// an atomic rename; a no-op without a path.
+// persist writes the committed state to the configured path with an
+// atomic rename; a no-op without a path. The caller holds commitMu.
 func (s *Server) persist() error {
 	if s.snapshotPath == "" {
 		return nil
 	}
 	err := SaveSnapshot(s.ctl, s.snapshotPath)
 	if err != nil {
-		s.mu.Lock()
-		s.snapshotErrs++
-		s.mu.Unlock()
+		s.snapshotErrs.Add(1)
 	}
 	return err
 }
 
-// SaveSnapshot writes the controller state to path atomically: the
+// SaveSnapshot writes the controller's committed state to path
+// atomically: the
 // JSON document lands in a temp file in the same directory and is
 // renamed over the target, so a crash mid-write can never leave a
 // truncated snapshot.

@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/admit"
@@ -137,15 +139,30 @@ func TestAdmitReportWithdrawOverHTTP(t *testing.T) {
 		t.Fatalf("double withdraw: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	req2, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/banana", nil)
-	resp, err = http.DefaultClient.Do(req2)
+	// Trailing garbage after a valid handle is malformed too, and must
+	// not withdraw handle 1.
+	for _, bad := range []string{"banana", "1x", "1%202"} {
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/streams/"+bad, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed handle %q: status %d", bad, resp.StatusCode)
+		}
+	}
+	resp, err = http.Get(ts.URL + "/v1/streams")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed handle: status %d", resp.StatusCode)
+	list = decode[map[string][]StreamInfo](t, resp)
+	if len(list["streams"]) != 4 || list["streams"][0].Handle != 1 {
+		t.Fatalf("malformed withdrawals changed the set: %+v", list)
 	}
-	resp.Body.Close()
 }
 
 func TestRejectionIs409WithStructuredBody(t *testing.T) {
@@ -308,6 +325,46 @@ func TestSnapshotPersistAndRestore(t *testing.T) {
 	_, ok, err = LoadSnapshot(filepath.Join(dir, "absent.json"), admit.Config{})
 	if err != nil || ok {
 		t.Fatalf("absent snapshot: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestSnapshotsLandInCommitOrder: concurrent admissions at the
+// production queue depth leave on disk exactly the state they left in
+// memory, so every acknowledged mutation survives a restart.
+func TestSnapshotsLandInCommitOrder(t *testing.T) {
+	const rounds, writers, admits = 20, 8, 10
+	for round := 0; round < rounds; round++ {
+		path := filepath.Join(t.TempDir(), "state.json")
+		s, ts := newOverloadServer(t, Config{SnapshotPath: path, MaxQueuedMutations: 256})
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < admits; k++ {
+					// One hop down column k from row g: no two streams
+					// share a channel, so every admission succeeds.
+					body, _ := json.Marshal(StreamRequest{Src: g*10 + k, Dst: g*10 + k + 10, Priority: 1, Period: 1000, Length: 2})
+					resp, err := http.Post(ts.URL+"/v1/streams", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("writer %d admit %d: status %d", g, k, resp.StatusCode)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		restored, ok, err := LoadSnapshot(path, admit.Config{})
+		if err != nil || !ok {
+			t.Fatalf("round %d: LoadSnapshot: ok=%v err=%v", round, ok, err)
+		}
+		if got, want := restored.Streams(), s.ctl.Streams(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: snapshot holds %d streams, memory %d:\n%+v\n%+v", round, len(got), len(want), got, want)
+		}
 	}
 }
 
