@@ -37,10 +37,8 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(rep.Format())
-	for _, v := range rep.Violations {
-		if v.SamePriorityOverlaps == 0 {
-			fmt.Fprintln(os.Stderr, "crosscheck: genuine analysis violation found")
-			os.Exit(2)
-		}
+	if rep.Genuine() > 0 {
+		fmt.Fprintln(os.Stderr, "crosscheck: genuine analysis violation found")
+		os.Exit(2)
 	}
 }

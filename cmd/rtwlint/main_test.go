@@ -247,7 +247,7 @@ func TestSARIFOutput(t *testing.T) {
 }
 
 // TestJSONDeterminism: two full-suite runs over a multi-package module
-// — including an interprocedural unlockpath finding whose summaries
+// — including an interprocedural lockorder finding whose summaries
 // are computed by parallel per-package passes — must produce
 // byte-identical JSON. This pins the merge-in-package-order contract
 // of the parallel driver and the determinism of the summary engine.
@@ -297,8 +297,8 @@ func (s *Store) Get(k string) (int, bool) {
 	for _, f := range got {
 		byAnalyzer[f.Analyzer]++
 	}
-	if byAnalyzer["unlockpath"] == 0 || byAnalyzer["floateq"] == 0 {
-		t.Errorf("want findings from both tiers (unlockpath, floateq), got %v", byAnalyzer)
+	if byAnalyzer["lockorder"] == 0 || byAnalyzer["floateq"] == 0 {
+		t.Errorf("want findings from both tiers (lockorder, floateq), got %v", byAnalyzer)
 	}
 }
 

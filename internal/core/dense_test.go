@@ -16,9 +16,7 @@ import (
 // both on random element sets and compare ResultRow, every Row and
 // DelayUpperBound. Keep the two files in sync when the algorithm
 // changes; the dense version is the spec, the bitset version is the
-// implementation.
-//
-// Nothing outside the tests should construct a denseDiagram.
+// implementation. It is test code, so it never ships in the package.
 
 // denseDiagram is the reference timing diagram: rows[0..n-1] are the
 // HP elements in non-increasing priority order and the final row is

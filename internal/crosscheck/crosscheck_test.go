@@ -46,6 +46,32 @@ func TestDistinctPrioritiesAreClean(t *testing.T) {
 	}
 }
 
+// TestFormatNamesGenuineViolations: the benign-sharing note is printed
+// only when every violation has same-priority sharing; a violation
+// without it is the genuine defect cmd/crosscheck exits 2 for, and the
+// summary must say so instead of calling it benign.
+func TestFormatNamesGenuineViolations(t *testing.T) {
+	const benign = "all violations stem from same-priority VC sharing"
+	sharing := Violation{Stream: 1, U: 10, MaxLatency: 12, SamePriorityOverlaps: 2}
+	genuine := Violation{Stream: 2, U: 10, MaxLatency: 11}
+
+	rep := &Report{Violations: []Violation{sharing}}
+	if rep.Genuine() != 0 || !strings.Contains(rep.Format(), benign) {
+		t.Errorf("sharing-only report: Genuine() = %d, want 0 and the benign note:\n%s", rep.Genuine(), rep.Format())
+	}
+	rep = &Report{Violations: []Violation{sharing, genuine}}
+	out := rep.Format()
+	if rep.Genuine() != 1 {
+		t.Errorf("Genuine() = %d, want 1", rep.Genuine())
+	}
+	if strings.Contains(out, benign) {
+		t.Errorf("report with a genuine violation calls all violations benign:\n%s", out)
+	}
+	if !strings.Contains(out, "1 of 2 violations are genuine") {
+		t.Errorf("report does not count the genuine violation:\n%s", out)
+	}
+}
+
 func TestDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Trials != 10 || c.Streams != 20 || c.PLevels != 4 || c.Cycles != 30000 || c.Warmup != 200 || c.UCap != 1<<16 {

@@ -7,8 +7,9 @@ import (
 
 // moduleEngine returns the run-wide summary engine (call graph +
 // per-function lock/sort facts), built once per rtwlint invocation and
-// shared by every interprocedural analyzer pass (crosslock, unlockpath,
-// atomicmix's callee checks, detrand's sorted-in-callee suppression).
+// shared by every interprocedural analyzer pass (lockorder's call
+// effects, detrand's sorted-in-callee suppression, the value-range
+// tier's callee result ranges).
 // Engine methods are internally synchronized, so concurrent per-package
 // passes may query it freely.
 func moduleEngine(pass *analysis.Pass) *summary.Engine {

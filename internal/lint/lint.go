@@ -21,12 +21,18 @@
 // internal/lint/dataflow engine and guard the concurrent runtime the
 // admission daemon grew around the feasibility core:
 //
-//   - lockorder: no double-locking of a sync.Mutex/RWMutex instance, no
-//     ABBA acquisition-order inversions between lock classes.
 //   - nilerr: a call's result value must not be consumed on a path
 //     where the accompanying error was never checked.
-//   - loopcapture: go/defer closures must not capture variables the
-//     function rewrites after the spawn point.
+//
+// The interprocedural analyzers add the module call graph and the
+// function summaries of internal/lint/summary:
+//
+//   - lockorder: no double-locking of a sync.Mutex/RWMutex instance, no
+//     ABBA acquisition-order inversions between lock classes (direct or
+//     through call chains), no return with a lock still held on some
+//     paths but released on others.
+//   - atomicmix: a variable accessed through sync/atomic anywhere in
+//     the module must not be read or written plainly elsewhere.
 //
 // The value-range analyzers run the interval abstract domain
 // (internal/lint/interval) over the same CFG/dataflow engine and prove
@@ -59,7 +65,6 @@ var registry []*analysis.Analyzer
 func init() {
 	registry = []*analysis.Analyzer{
 		Atomicmix,
-		Crosslock,
 		Deadrange,
 		Detrand,
 		Directive,
@@ -67,10 +72,8 @@ func init() {
 		Floateq,
 		Intoverflow,
 		Lockorder,
-		Loopcapture,
 		Nilerr,
 		Shiftwidth,
-		Unlockpath,
 		Unsyncshared,
 	}
 }

@@ -1,5 +1,5 @@
 // Package linttest loads multi-package in-memory fixtures for the
-// interprocedural analysis tests (callgraph, summary, crosslock). The
+// interprocedural analysis tests (callgraph, summary, lockorder). The
 // analysistest harness loads one package per directory; the tests of
 // the interprocedural tier need several packages importing each other,
 // which this package type-checks together over one shared FileSet —

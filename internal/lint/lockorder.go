@@ -4,518 +4,464 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"repro/internal/lint/analysis"
+	"repro/internal/lint/callgraph"
 	"repro/internal/lint/cfg"
 	"repro/internal/lint/dataflow"
+	"repro/internal/lint/summary"
 )
 
-// Lockorder is the flow-sensitive mutex discipline check. It tracks the
-// set of sync.Mutex/sync.RWMutex locks that may be held at each program
-// point (a forward may-analysis over the function's CFG) and reports
+// Lockorder is the mutex-discipline analyzer. One forward may-held
+// dataflow per function body — declarations and literals alike —
+// tracks the sync.Mutex/RWMutex acquisitions that may be held at each
+// program point. Lock operations come from summary.ResolveLockOp, and
+// a call inherits its callee's lock effects from the shared summary
+// engine: classes the callee releases come off the held set, classes
+// it acquires and keeps go on, tagged with the helper's name. It
+// reports
 //
 //   - double lock: an acquisition of a mutex instance that may already
-//     be held on some path — `c.mu.Lock()` twice, or `mu.RLock()` while
-//     `mu.Lock()` is in effect — a guaranteed self-deadlock on that
-//     path (Go mutexes are not reentrant);
-//   - lock-order inversion: two lock classes acquired in the order A→B
-//     somewhere and B→A somewhere else in the same package (directly or
-//     through an in-package call), the classic ABBA deadlock between
-//     concurrent goroutines.
+//     be held — `c.mu.Lock()` twice, or `mu.RLock()` while `mu.Lock()`
+//     is in effect — a self-deadlock on that path (Go mutexes are not
+//     reentrant; a recursive RLock is legal and stays silent);
+//   - lock-order inversion: class B acquired while class A is held
+//     somewhere in the module, and A while B is held elsewhere — the
+//     ABBA deadlock between concurrent goroutines. Order edges are
+//     collected module-wide; an acquisition reached through calls names
+//     the call chain, and every site of both directions is reported
+//     once;
+//   - return while held: some path returns with a lock acquired in the
+//     function — directly, or through a helper that acquires and keeps
+//     it — still held, while other paths release it. A function that
+//     releases the lock nowhere is a deliberate lock helper and stays
+//     silent; a deferred release (`defer mu.Unlock()`, a deferred
+//     closure or helper that releases) covers every path. When the
+//     acquisition is a top-level statement made once and the releases
+//     are plain `mu.Unlock()` statements, the diagnostic carries a fix:
+//     defer the unlock at the acquisition and delete the manual ones.
 //
-// Lock *instances* are identified by the selector path of the receiver
-// (`c.mu` in one function and `c.mu` in another are only compared
-// within a function, so two different Controllers never alias); lock
-// *classes*, used for ordering, are identified by the declared field or
-// variable (`Controller.mu`), the granularity at which an ordering
-// discipline is stated. A `defer mu.Unlock()` releases at function
-// exit, so it keeps the lock held for the rest of the function — which
-// is exactly what the double-lock check needs to see.
+// Instances (`c.mu`) are compared only within one function body, so
+// two Controllers never alias; classes, used for ordering, are the
+// declared field or variable (`admit.Controller.mu`). A `defer
+// mu.Unlock()` keeps the lock held for the rest of the function, which
+// is what the double-lock check needs to see; calls behind `go` and
+// `defer` are not path events.
 var Lockorder = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "detects double-locking and inconsistent mutex acquisition order",
+	Doc:  "detects double locks, lock-order inversions (direct or through call chains) and returns while a lock is held",
 	Run:  runLockorder,
 }
 
-// lockMode distinguishes read and write acquisitions of an RWMutex.
-type lockMode int
-
-const (
-	modeWrite lockMode = iota
-	modeRead
-)
-
-// lockTab interns lock instances and classes discovered during one
-// package run, so dataflow facts can be small sorted int sets.
-type lockTab struct {
-	instIDs   map[string]int // instance key -> id
-	instName  []string       // id -> display ("c.mu")
-	instClass []int          // id -> class id
-	classIDs  map[string]int // class key -> id
-	className []string       // id -> display ("Controller.mu")
-}
-
-func newLockTab() *lockTab {
-	return &lockTab{instIDs: map[string]int{}, classIDs: map[string]int{}}
-}
-
-func (t *lockTab) internClass(key, name string) int {
-	if id, ok := t.classIDs[key]; ok {
-		return id
-	}
-	id := len(t.className)
-	t.classIDs[key] = id
-	t.className = append(t.className, name)
-	return id
-}
-
-func (t *lockTab) internInst(key, name string, class int) int {
-	if id, ok := t.instIDs[key]; ok {
-		return id
-	}
-	id := len(t.instName)
-	t.instIDs[key] = id
-	t.instName = append(t.instName, name)
-	t.instClass = append(t.instClass, class)
-	return id
-}
-
-// lockOp is one Lock/Unlock/RLock/RUnlock call resolved to an interned
-// instance.
-type lockOp struct {
-	inst    int
-	mode    lockMode
-	acquire bool
-	pos     token.Pos
-}
-
-// orderEdge records "class b acquired while class a held" at pos.
-type orderEdge struct {
-	a, b int
-	pos  token.Pos
+// lockDiag is one finding of the module-wide run, tagged with the
+// package whose pass reports it.
+type lockDiag struct {
+	pkg string
+	analysis.Diagnostic
 }
 
 func runLockorder(pass *analysis.Pass) error {
-	tab := newLockTab()
-	lo := &lockorderPass{pass: pass, tab: tab}
-
-	// Pass 0: per-function transitive acquisition summaries, for edges
-	// through in-package calls (f holds A and calls g, which locks B).
-	lo.buildSummaries()
-
-	// Pass 1: dataflow every function, collecting double-lock reports
-	// and order edges.
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f.Pos()) {
-			continue
+	diags := pass.Module.Shared("interproc/lockorder", func() any {
+		return lockorderModule(pass.Module, moduleEngine(pass))
+	}).([]lockDiag)
+	for _, d := range diags {
+		if d.pkg == pass.Pkg.Path() {
+			pass.Report(d.Diagnostic)
 		}
-		for _, fn := range cfg.FuncBodies(f) {
-			lo.analyze(fn)
-		}
-	}
-
-	// Pass 2: report inversions. An edge a->b inverts when b->a was
-	// also observed (distinct classes only: two instances of one class
-	// need an instance-level order no package-wide discipline states).
-	byPair := map[[2]int][]token.Pos{}
-	for _, e := range lo.edges {
-		byPair[[2]int{e.a, e.b}] = append(byPair[[2]int{e.a, e.b}], e.pos)
-	}
-	type report struct {
-		pos token.Pos
-		msg string
-	}
-	var reports []report
-	for pair, positions := range byPair {
-		a, b := pair[0], pair[1]
-		if a == b {
-			continue
-		}
-		rev, ok := byPair[[2]int{b, a}]
-		if !ok {
-			continue
-		}
-		other := rev[0]
-		for _, p := range rev[1:] {
-			if p < other {
-				other = p
-			}
-		}
-		op := pass.Fset.Position(other)
-		for _, p := range positions {
-			reports = append(reports, report{p, fmt.Sprintf(
-				"lock order inversion: %s acquired while %s is held, but the opposite order is used at %s:%d (possible ABBA deadlock)",
-				tab.className[b], tab.className[a], shortFile(op.Filename), op.Line)})
-		}
-	}
-	sort.Slice(reports, func(i, j int) bool {
-		if reports[i].pos != reports[j].pos {
-			return reports[i].pos < reports[j].pos
-		}
-		return reports[i].msg < reports[j].msg
-	})
-	for _, r := range reports {
-		pass.Reportf(r.pos, "%s", r.msg)
 	}
 	return nil
 }
 
-type lockorderPass struct {
-	pass  *analysis.Pass
-	tab   *lockTab
-	edges []orderEdge
-	// summary maps an in-package function to the set of lock classes it
-	// may acquire, transitively through in-package calls.
-	summary map[*types.Func]map[int]bool
-	bodies  map[*types.Func]*ast.BlockStmt
+// heldItem is one acquisition the held set tracks. via names the
+// helper when the lock came from a call that acquires and keeps it;
+// such items have no instance (InstKey == "") and Pos is the call.
+type heldItem struct {
+	summary.LockOp
+	via string
 }
 
-// buildSummaries computes, for every function declared in the package,
-// the set of lock classes it may acquire — directly or via calls to
-// other in-package functions — by fixpoint over the static call graph.
-// Function literals are excluded: a closure handed to `go` runs
-// concurrently, and a closure invoked inline is rare enough in this
-// codebase to trade for the precision.
-func (lo *lockorderPass) buildSummaries() {
-	lo.summary = map[*types.Func]map[int]bool{}
-	lo.bodies = map[*types.Func]*ast.BlockStmt{}
-	calls := map[*types.Func][]*types.Func{}
+// instMode keys an acquisition or release by instance and mode.
+func instMode(op summary.LockOp) string { return op.InstKey + op.Mode.String() }
 
-	for _, f := range lo.pass.Files {
-		if analysis.IsTestFile(lo.pass.Fset, f.Pos()) {
-			continue
+// orderEdge records "class acquired while class held" at pos, with the
+// call chain that reached the acquisition ("" when direct).
+type orderEdge struct {
+	held, acquired string // class display names
+	chain          string
+	pos            token.Pos
+	pkg            string
+}
+
+// lockModule is the state of one run: call sites by expression, order
+// edges by (held, acquired) class-key pair, and the findings.
+type lockModule struct {
+	eng   *summary.Engine
+	fset  *token.FileSet
+	sites map[*ast.CallExpr][]*callgraph.Edge
+	edges map[[2]string][]orderEdge
+	diags []lockDiag
+}
+
+// lockorderModule analyzes every function body of the module once and
+// returns all findings; each pass keeps those of its own package.
+func lockorderModule(mod *analysis.Module, eng *summary.Engine) []lockDiag {
+	lm := &lockModule{
+		eng:   eng,
+		sites: map[*ast.CallExpr][]*callgraph.Edge{},
+		edges: map[[2]string][]orderEdge{},
+	}
+	for _, n := range eng.Graph.Nodes {
+		for _, e := range n.Out {
+			lm.sites[e.Site] = append(lm.sites[e.Site], e)
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+	}
+	for _, pkg := range mod.Packages {
+		lm.fset = pkg.Fset // one FileSet is shared by every package of a run
+		for _, f := range pkg.Files {
+			if analysis.IsTestFile(pkg.Fset, f.Pos()) {
 				continue
 			}
-			obj, _ := lo.pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			lo.bodies[obj] = fd.Body
-			acq := map[int]bool{}
-			cfg.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.DeferStmt, *ast.GoStmt:
-					return false // deferred/async effects are not "during f"
-				case *ast.CallExpr:
-					if op, ok := lo.resolveLockOp(n); ok {
-						if op.acquire {
-							acq[lo.tab.instClass[op.inst]] = true
-						}
-					} else if callee := lo.staticCallee(n); callee != nil {
-						calls[obj] = append(calls[obj], callee)
-					}
-				}
-				return true
-			})
-			lo.summary[obj] = acq
-		}
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for fn, callees := range calls {
-			acq := lo.summary[fn]
-			for _, c := range callees {
-				for class := range lo.summary[c] {
-					if !acq[class] {
-						acq[class] = true
-						changed = true
-					}
-				}
+			for _, fn := range cfg.FuncBodies(f) {
+				lm.function(pkg, fn.Body)
 			}
 		}
 	}
+	lm.inversions()
+	return lm.diags
 }
 
-// staticCallee resolves a call to a function or method declared in this
-// package, or nil.
-func (lo *lockorderPass) staticCallee(call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = lo.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = lo.pass.TypesInfo.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() != lo.pass.Pkg {
-		return nil
-	}
-	return fn
+func (lm *lockModule) report(pkg string, d analysis.Diagnostic) {
+	lm.diags = append(lm.diags, lockDiag{pkg: pkg, Diagnostic: d})
 }
 
-// heldFact is a dataflow fact: the sorted set of (instance, mode) pairs
-// that may be held, encoded as a string so facts are immutable values.
-type heldFact string
+// lockFrame is the state of one function body: the interned held
+// items and, filled during the reporting replay, the release evidence
+// the exit check needs.
+type lockFrame struct {
+	lm    *lockModule
+	pkg   *analysis.Package
+	body  *ast.BlockStmt
+	items []heldItem
+	ids   map[heldItem]int
 
-type heldLattice struct{ lo *lockorderPass }
-
-func (heldLattice) Entry() heldFact { return "" }
-
-func (l heldLattice) Transfer(n ast.Node, in heldFact) heldFact {
-	return l.lo.step(n, in, nil)
+	replay        bool
+	acquired      map[string]int             // instance+mode -> direct acquisitions
+	releaseStmts  map[string][]*ast.ExprStmt // instance+mode -> plain release statements
+	released      map[string]bool            // classes released directly or by a call
+	callReleased  map[string]bool            // classes released by a call
+	deferred      map[string]bool            // instance+mode released by a defer
+	deferredClass map[string]bool            // classes released by a deferred helper
 }
 
-func (heldLattice) Join(a, b heldFact) heldFact {
-	set := decodeHeld(a)
-	for k := range decodeHeld(b) {
-		set[k] = true
+// heldSet is the dataflow fact: byte i is 1 when item i may be held.
+// Trailing zeros are trimmed, so facts are immutable strings that
+// compare with ==.
+type heldSet string
+
+type heldLattice struct{ fr *lockFrame }
+
+func (heldLattice) Entry() heldSet                            { return "" }
+func (l heldLattice) Transfer(n ast.Node, in heldSet) heldSet { return l.fr.step(n, in) }
+func (heldLattice) Equal(a, b heldSet) bool                   { return a == b }
+
+func (heldLattice) Join(a, b heldSet) heldSet {
+	if len(a) < len(b) {
+		a, b = b, a
 	}
-	return encodeHeld(set)
+	out := []byte(a)
+	for i := range len(b) {
+		out[i] |= b[i]
+	}
+	return heldSet(out)
 }
 
-func (heldLattice) Equal(a, b heldFact) bool { return a == b }
+// function runs the held-set dataflow over one body, replays the
+// reached blocks to report and collect evidence, then checks the exit.
+func (lm *lockModule) function(pkg *analysis.Package, body *ast.BlockStmt) {
+	fr := &lockFrame{lm: lm, pkg: pkg, body: body, ids: map[heldItem]int{}}
+	g := cfg.New(body)
+	res := dataflow.Forward[heldSet](g, heldLattice{fr})
 
-func decodeHeld(f heldFact) map[int]bool {
-	set := map[int]bool{}
-	if f == "" {
-		return set
-	}
-	for _, s := range strings.Split(string(f), ",") {
-		v, _ := strconv.Atoi(s)
-		set[v] = true
-	}
-	return set
-}
-
-func encodeHeld(set map[int]bool) heldFact {
-	if len(set) == 0 {
-		return ""
-	}
-	vals := make([]int, 0, len(set))
-	for v := range set {
-		vals = append(vals, v)
-	}
-	sort.Ints(vals)
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = strconv.Itoa(v)
-	}
-	return heldFact(strings.Join(parts, ","))
-}
-
-// held items pack (instance, mode) into one int.
-func heldItem(inst int, mode lockMode) int { return inst*2 + int(mode) }
-func itemInst(item int) int                { return item / 2 }
-func itemMode(item int) lockMode           { return lockMode(item % 2) }
-
-// event is one acquisition observed during the reporting replay, with
-// the full held set in effect just before it.
-type event struct {
-	op   lockOp
-	held map[int]bool
-	// callee is set instead of op for in-package call sites.
-	callee *types.Func
-	pos    token.Pos
-}
-
-// step is the shared transfer function: it applies every lock operation
-// of the node to the fact, invoking emit (when non-nil, i.e. during the
-// reporting replay) for each acquisition and in-package call.
-func (lo *lockorderPass) step(n ast.Node, in heldFact, emit func(event)) heldFact {
-	set := decodeHeld(in)
-	cfg.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.DeferStmt, *ast.GoStmt:
-			return false // deferred unlocks keep the lock held; go runs elsewhere
-		case *ast.CallExpr:
-			if op, ok := lo.resolveLockOp(m); ok {
-				if op.acquire {
-					if emit != nil {
-						emit(event{op: op, held: copySet(set), pos: op.pos})
-					}
-					set[heldItem(op.inst, op.mode)] = true
-				} else {
-					delete(set, heldItem(op.inst, op.mode))
-				}
-			} else if emit != nil {
-				if callee := lo.staticCallee(m); callee != nil && len(set) > 0 {
-					emit(event{callee: callee, held: copySet(set), pos: m.Pos()})
-				}
-			}
-		}
-		return true
-	})
-	return encodeHeld(set)
-}
-
-func copySet(set map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(set))
-	for k := range set {
-		out[k] = true
-	}
-	return out
-}
-
-// analyze runs the held-set dataflow over one function and replays the
-// reached blocks to report double locks and record order edges.
-func (lo *lockorderPass) analyze(fn cfg.Func) {
-	g := cfg.New(fn.Body)
-	res := dataflow.Forward[heldFact](g, heldLattice{lo})
+	fr.replay = true
+	fr.acquired = map[string]int{}
+	fr.releaseStmts = map[string][]*ast.ExprStmt{}
+	fr.released, fr.callReleased = map[string]bool{}, map[string]bool{}
+	fr.deferred, fr.deferredClass = map[string]bool{}, map[string]bool{}
 	for _, b := range g.Blocks {
 		if !res.Reached[b.Index] {
 			continue
 		}
 		fact := res.In[b.Index]
 		for _, n := range b.Nodes {
-			fact = lo.step(n, fact, func(ev event) {
-				if ev.callee != nil {
-					for class := range lo.summary[ev.callee] {
-						for item := range ev.held {
-							lo.edges = append(lo.edges, orderEdge{
-								a: lo.tab.instClass[itemInst(item)], b: class, pos: ev.pos})
-						}
-					}
-					return
-				}
-				inst := ev.op.inst
-				for item := range ev.held {
-					if itemInst(item) != inst {
-						lo.edges = append(lo.edges, orderEdge{
-							a: lo.tab.instClass[itemInst(item)],
-							b: lo.tab.instClass[inst], pos: ev.pos})
-						continue
-					}
-					// Same instance already held: write-write,
-					// write-read, and read-write all self-deadlock;
-					// recursive RLock is legal (if discouraged).
-					if ev.op.mode == modeWrite || itemMode(item) == modeWrite {
-						verb := "Lock"
-						if ev.op.mode == modeRead {
-							verb = "RLock"
-						}
-						lo.pass.Reportf(ev.pos,
-							"%s of %s, which may already be held here (self-deadlock: Go mutexes are not reentrant)",
-							verb, lo.tab.instName[inst])
-					}
-				}
-			})
+			fact = fr.step(n, fact)
+		}
+	}
+	if exit := g.Exit().Index; res.Reached[exit] {
+		for id, on := range []byte(res.In[exit]) {
+			if on == 1 {
+				fr.leak(fr.items[id])
+			}
 		}
 	}
 }
 
-// resolveLockOp recognises m as a (R)Lock/(R)Unlock call on a
-// sync.Mutex or sync.RWMutex reachable through a selector path of
-// identifiers, and interns the instance.
-func (lo *lockorderPass) resolveLockOp(call *ast.CallExpr) (lockOp, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return lockOp{}, false
+// step applies one CFG node's lock effects to the held set; during the
+// replay it also reports double locks, records order edges and
+// collects release evidence.
+func (fr *lockFrame) step(n ast.Node, in heldSet) heldSet {
+	held := []byte(in)
+	info, tpkg := fr.pkg.Info, fr.pkg.Pkg
+	cfg.Inspect(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.GoStmt:
+			return false // runs elsewhere, unordered with this body
+		case *ast.DeferStmt:
+			if fr.replay {
+				fr.deferRelease(m.Call)
+			}
+			return false // runs at exit: a release there is an exemption
+		case *ast.CallExpr:
+			op, ok := summary.ResolveLockOp(info, tpkg, m)
+			switch {
+			case ok && op.Acquire:
+				it := heldItem{LockOp: op}
+				if fr.replay {
+					fr.check(held, it, "")
+					fr.acquired[instMode(op)]++
+				}
+				held = fr.hold(held, it)
+			case ok:
+				held = fr.release(held, op, n)
+			default:
+				for _, e := range fr.lm.sites[m] {
+					held = fr.call(held, e)
+				}
+			}
+		}
+		return true
+	})
+	for len(held) > 0 && held[len(held)-1] == 0 {
+		held = held[:len(held)-1]
 	}
-	var mode lockMode
-	var acquire bool
-	switch sel.Sel.Name {
-	case "Lock":
-		mode, acquire = modeWrite, true
-	case "Unlock":
-		mode, acquire = modeWrite, false
-	case "RLock":
-		mode, acquire = modeRead, true
-	case "RUnlock":
-		mode, acquire = modeRead, false
-	default:
-		return lockOp{}, false
-	}
-	// The method must be sync's, not an unrelated Lock().
-	selection, ok := lo.pass.TypesInfo.Selections[sel]
-	if !ok {
-		return lockOp{}, false
-	}
-	fn, ok := selection.Obj().(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return lockOp{}, false
-	}
-	key, name, class := lo.resolvePath(sel.X)
-	if key == "" {
-		return lockOp{}, false
-	}
-	inst := lo.tab.internInst(key, name, class)
-	return lockOp{inst: inst, mode: mode, acquire: acquire, pos: call.Pos()}, true
+	return heldSet(held)
 }
 
-// resolvePath walks a selector chain (`mu`, `c.mu`, `s.inner.mu`,
-// `pkgvar.mu`) down to its root object, returning an instance key (the
-// object chain), a display name, and the interned class id (keyed by
-// the final declared field or variable). Anything rooted in a map
-// index, call result, or other non-identifier yields "" — unkeyable,
-// skipped.
-func (lo *lockorderPass) resolvePath(e ast.Expr) (key, name string, class int) {
-	var objs []types.Object
-	var parts []string
-	var recvType types.Type
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			obj := lo.pass.TypesInfo.Uses[x]
-			if obj == nil {
-				obj = lo.pass.TypesInfo.Defs[x]
+// hold marks it held, interning it on first sight.
+func (fr *lockFrame) hold(held []byte, it heldItem) []byte {
+	id, ok := fr.ids[it]
+	if !ok {
+		id = len(fr.items)
+		fr.ids[it] = id
+		fr.items = append(fr.items, it)
+	}
+	for len(held) <= id {
+		held = append(held, 0)
+	}
+	held[id] = 1
+	return held
+}
+
+// check weighs acquiring it against the held set: a direct acquisition
+// of a held instance is a double lock, and every other held class
+// gains an order edge to it.
+func (fr *lockFrame) check(held []byte, it heldItem, chain string) {
+	double := false
+	for id, on := range held {
+		h := fr.items[id]
+		switch {
+		case on == 0:
+		case h.ClassKey != it.ClassKey:
+			pair := [2]string{h.ClassKey, it.ClassKey}
+			fr.lm.edges[pair] = append(fr.lm.edges[pair],
+				orderEdge{h.ClassName, it.ClassName, chain, it.Pos, fr.pkg.Path})
+		case it.InstKey != "" && h.InstKey == it.InstKey:
+			double = double || it.Mode == summary.Write || h.Mode == summary.Write
+		}
+	}
+	if double {
+		verb := "Lock"
+		if it.Mode == summary.Read {
+			verb = "RLock"
+		}
+		fr.lm.report(fr.pkg.Path, analysis.Diagnostic{Pos: it.Pos, Message: fmt.Sprintf(
+			"%s of %s, which may already be held here (self-deadlock: Go mutexes are not reentrant)",
+			verb, it.InstName)})
+	}
+}
+
+// release drops the held items op releases: its instance and mode, or
+// a helper item of its class and mode.
+func (fr *lockFrame) release(held []byte, op summary.LockOp, n ast.Node) []byte {
+	for id := range held {
+		h := fr.items[id]
+		if h.Mode == op.Mode && (h.InstKey == op.InstKey || h.via != "" && h.ClassKey == op.ClassKey) {
+			held[id] = 0
+		}
+	}
+	if fr.replay {
+		fr.released[op.ClassKey] = true
+		if es, ok := n.(*ast.ExprStmt); ok && ast.Unparen(es.X).Pos() == op.Pos {
+			k := instMode(op)
+			fr.releaseStmts[k] = append(fr.releaseStmts[k], es)
+		}
+	}
+	return held
+}
+
+// call applies one call edge's summary: the callee's acquisitions are
+// checked against the held set, the classes it releases come off it,
+// and the classes it acquires and keeps go on as helper items.
+func (fr *lockFrame) call(held []byte, e *callgraph.Edge) []byte {
+	facts := fr.lm.eng.Func(e.Callee.Func)
+	name := callgraph.DisplayName(e.Callee.Func)
+	var keep []heldItem
+	for _, eff := range facts.Acquires {
+		it := heldItem{summary.LockOp{
+			InstName: eff.ClassName, ClassKey: eff.ClassKey, ClassName: eff.ClassName,
+			Mode: eff.Mode, Acquire: true, Pos: e.Pos(),
+		}, name}
+		if fr.replay {
+			chain := []string{name}
+			for _, s := range eff.Chain {
+				chain = append(chain, s.Name)
 			}
-			if _, ok := obj.(*types.Var); !ok {
-				return "", "", 0
+			fr.check(held, it, strings.Join(chain, " → "))
+		}
+		if !facts.ReleasesClass(eff.ClassKey) {
+			keep = append(keep, it)
+		}
+	}
+	for id := range held {
+		if facts.ReleasesClass(fr.items[id].ClassKey) {
+			held[id] = 0
+		}
+	}
+	if fr.replay {
+		for _, c := range facts.Releases {
+			fr.released[c], fr.callReleased[c] = true, true
+		}
+	}
+	for _, it := range keep {
+		held = fr.hold(held, it)
+	}
+	return held
+}
+
+// deferRelease records the exemptions one deferred call provides: a
+// direct release, or a helper whose summary releases a class, either
+// deferred itself or called from a deferred closure.
+func (fr *lockFrame) deferRelease(call *ast.CallExpr) {
+	calls := []*ast.CallExpr{call}
+	if lit, ok := call.Fun.(*ast.FuncLit); ok {
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				calls = append(calls, c)
 			}
-			objs = append(objs, obj)
-			parts = append(parts, x.Name)
-			return lo.finishPath(objs, parts, recvType)
-		case *ast.SelectorExpr:
-			if selection, ok := lo.pass.TypesInfo.Selections[x]; ok {
-				field, ok := selection.Obj().(*types.Var)
-				if !ok {
-					return "", "", 0
-				}
-				objs = append(objs, field)
-				parts = append(parts, x.Sel.Name)
-				if recvType == nil {
-					recvType = lo.pass.TypesInfo.Types[x.X].Type
-				}
-				e = x.X
+			return true
+		})
+	}
+	for _, c := range calls {
+		if op, ok := summary.ResolveLockOp(fr.pkg.Info, fr.pkg.Pkg, c); ok {
+			if !op.Acquire {
+				fr.deferred[instMode(op)] = true
+			}
+			continue
+		}
+		for _, e := range fr.lm.sites[c] {
+			for _, class := range fr.lm.eng.Func(e.Callee.Func).Releases {
+				fr.deferredClass[class] = true
+			}
+		}
+	}
+}
+
+// leak reports an item still held at the function exit, unless a
+// deferred release covers it or the function releases its class
+// nowhere (a lock helper returns locked by contract).
+func (fr *lockFrame) leak(it heldItem) {
+	k := instMode(it.LockOp)
+	if fr.deferred[k] || fr.deferredClass[it.ClassKey] || !fr.released[it.ClassKey] {
+		return
+	}
+	verb, unverb := "Lock", "Unlock"
+	if it.Mode == summary.Read {
+		verb, unverb = "RLock", "RUnlock"
+	}
+	d := analysis.Diagnostic{Pos: it.Pos, Message: fmt.Sprintf(
+		"%s.%s() here, but some path returns without unlocking (%s is released on other paths, so this is not a lock-helper)",
+		it.InstName, verb, it.InstName)}
+	if it.via != "" {
+		d.Message = fmt.Sprintf(
+			"%s is still held at some return of this function (acquired via %s here, released on other paths only)",
+			it.InstName, it.via)
+	}
+	stmts := fr.releaseStmts[k]
+	if acq := fr.topLevel(it.Pos); acq != nil && it.via == "" && fr.acquired[k] == 1 &&
+		!fr.callReleased[it.ClassKey] && len(stmts) > 0 {
+		edits := []analysis.TextEdit{{
+			Pos: acq.End(), End: acq.End(),
+			NewText: []byte("\ndefer " + it.InstName + "." + unverb + "()"),
+		}}
+		for _, s := range stmts {
+			edits = append(edits, analysis.TextEdit{Pos: s.Pos(), End: s.End()})
+		}
+		d.SuggestedFixes = []analysis.SuggestedFix{{
+			Message:   fmt.Sprintf("defer %s.%s() at the acquisition and drop the manual unlocks", it.InstName, unverb),
+			TextEdits: edits,
+		}}
+	}
+	fr.lm.report(fr.pkg.Path, d)
+}
+
+// topLevel returns the statement of the body's own list that is the
+// call at pos, or nil.
+func (fr *lockFrame) topLevel(pos token.Pos) *ast.ExprStmt {
+	for _, s := range fr.body.List {
+		if es, ok := s.(*ast.ExprStmt); ok && ast.Unparen(es.X).Pos() == pos {
+			return es
+		}
+	}
+	return nil
+}
+
+// inversions reports, for every class pair acquired in both orders,
+// each site of both directions once, pointing at the earliest site of
+// the opposite order.
+func (lm *lockModule) inversions() {
+	pairs := make([][2]string, 0, len(lm.edges))
+	for p := range lm.edges {
+		pairs = append(pairs, p)
+	}
+	slices.SortFunc(pairs, func(a, b [2]string) int {
+		return strings.Compare(a[0]+"\x00"+a[1], b[0]+"\x00"+b[1])
+	})
+	for _, p := range pairs {
+		rev := lm.edges[[2]string{p[1], p[0]}]
+		if len(rev) == 0 {
+			continue
+		}
+		opp := rev[0].pos
+		for _, e := range rev[1:] {
+			opp = min(opp, e.pos)
+		}
+		op := lm.fset.Position(opp)
+		seen := map[token.Pos]bool{}
+		for _, e := range lm.edges[p] {
+			if seen[e.pos] {
 				continue
 			}
-			// Qualified identifier pkg.Var: the root is the var itself.
-			if v, ok := lo.pass.TypesInfo.Uses[x.Sel].(*types.Var); ok {
-				objs = append(objs, v)
-				parts = append(parts, x.Sel.Name)
-				return lo.finishPath(objs, parts, recvType)
+			seen[e.pos] = true
+			kind, via := "lock order inversion", ""
+			if e.chain != "" {
+				kind, via = kind+" across calls", " via call chain "+e.chain
 			}
-			return "", "", 0
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return "", "", 0
+			lm.report(e.pkg, analysis.Diagnostic{Pos: e.pos, Message: fmt.Sprintf(
+				"%s: %s acquired%s while %s is held, but the opposite order is used at %s:%d (possible ABBA deadlock)",
+				kind, e.acquired, via, e.held, shortFile(op.Filename), op.Line)})
 		}
 	}
-}
-
-// finishPath builds the interned key/name/class from the collected
-// leaf-to-root chain.
-func (lo *lockorderPass) finishPath(objs []types.Object, parts []string, recvType types.Type) (string, string, int) {
-	// objs/parts were collected leaf-first; reverse for display.
-	var kb, nb strings.Builder
-	for i := len(objs) - 1; i >= 0; i-- {
-		fmt.Fprintf(&kb, "%p/", objs[i])
-		if nb.Len() > 0 {
-			nb.WriteByte('.')
-		}
-		nb.WriteString(parts[i])
-	}
-	leaf := objs[0]
-	classKey := fmt.Sprintf("%p", leaf)
-	className := parts[0]
-	if v, ok := leaf.(*types.Var); ok && v.IsField() && recvType != nil {
-		t := recvType
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		className = types.TypeString(t, types.RelativeTo(lo.pass.Pkg)) + "." + parts[0]
-	}
-	return kb.String(), nb.String(), lo.tab.internClass(classKey, className)
 }
 
 func shortFile(name string) string {

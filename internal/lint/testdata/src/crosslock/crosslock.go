@@ -1,5 +1,5 @@
-// Fixture for the crosslock analyzer: an ABBA inversion that is
-// invisible to intraprocedural analysis — one direction of the order
+// Fixture for lockorder's interprocedural side: an ABBA inversion that
+// is invisible to intraprocedural analysis — one direction of the order
 // exists only through a two-deep call chain — plus consistent-order
 // shapes through helpers that must stay silent.
 package crosslock
@@ -32,11 +32,11 @@ func aThenB() {
 	muA.Unlock()
 }
 
-// bThenA uses the opposite direct order; the direct evidence itself is
-// lockorder's to report, so crosslock points here from aThenB's chain.
+// bThenA uses the opposite direct order; its own site is reported too,
+// pointing back at aThenB's chained one.
 func bThenA() {
 	muB.Lock()
-	muA.Lock()
+	muA.Lock() // want `lock order inversion: crosslock.muA acquired while crosslock.muB is held`
 	shared++
 	muA.Unlock()
 	muB.Unlock()

@@ -7,9 +7,10 @@ import (
 	"repro/internal/lint/analysistest"
 )
 
-// TestUnlockpath checks diagnostics and verifies the suggested
-// defer-unlock fixes against unlockpath.go.golden.
+// TestUnlockpath checks lockorder's return-while-held diagnostics and
+// verifies the suggested defer-unlock fixes against
+// unlockpath.go.golden.
 func TestUnlockpath(t *testing.T) {
-	analysistest.RunWithFixes(t, []*analysis.Analyzer{Unlockpath},
+	analysistest.RunWithFixes(t, []*analysis.Analyzer{Lockorder},
 		"testdata/src/unlockpath", "repro/internal/lintfix/unlockpath")
 }
