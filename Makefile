@@ -100,6 +100,7 @@ quick-reproduce:
 fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzDiagram$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz='^FuzzDiagramDifferential$$' -fuzztime=30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz='^FuzzCalUEarlyExit$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeSet$$' -fuzztime=30s ./internal/stream/
 
 cover:

@@ -451,21 +451,60 @@ func BenchmarkHPSetConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkCalU measures one Cal_U run (HP_4 of the worked example).
+// BenchmarkCalU measures one Cal_U run per fixture: HP_4 of the worked
+// example, then five streams of the §5 pools the admission daemon is
+// benchmarked on (workload.PaperDefaults(40, 8, pool)), on both sides
+// of Cal_U's early exit. In a prefix of pool 5 or 7, the stream whose
+// inflated deadline is MaxSearchHorizon has a bound of a few hundred
+// slots, which a short horizon certifies. In the full pools it has no
+// bound, and pool 7's stream 34 has U = D = 45985; both lay the
+// diagram out to the deadline. The reported U pins each fixture.
 func BenchmarkCalU(b *testing.B) {
-	set, err := exp.WorkedExampleSet()
+	worked, err := exp.WorkedExampleSet()
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := core.NewAnalyzer(set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.CalU(4); err != nil {
+	pool := func(seed int64, streams int) *stream.Set {
+		set, _, err := workload.Generate(workload.PaperDefaults(40, 8, seed))
+		if err != nil {
 			b.Fatal(err)
 		}
+		set.Streams = set.Streams[:streams]
+		return set
+	}
+	for _, fx := range []struct {
+		name string
+		set  *stream.Set
+		id   stream.ID
+		u    int
+	}{
+		{"worked-example", worked, 4, 33},
+		{"pool5-prefix38-stream3", pool(5, 38), 3, 281},
+		{"pool7-prefix39-stream25", pool(7, 39), 25, 142},
+		{"pool5-stream3-unbounded", pool(5, 40), 3, -1},
+		{"pool7-stream25-unbounded", pool(7, 40), 25, -1},
+		{"pool7-stream34-U=D", pool(7, 40), 34, 45985},
+	} {
+		b.Run(fx.name, func(b *testing.B) {
+			a, err := core.NewAnalyzer(fx.set)
+			if err != nil {
+				b.Fatal(err)
+			}
+			u, err := a.CalU(fx.id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if u != fx.u {
+				b.Fatalf("U = %d, want %d", u, fx.u)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.CalU(fx.id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(u), "U")
+		})
 	}
 }
 

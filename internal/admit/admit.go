@@ -255,6 +255,14 @@ func (c *Controller) admit(st *State, specs []Spec, handles []Handle) (*Result, 
 		if sp.Deadline == 0 {
 			sp.Deadline = sp.Period
 		}
+		// Cal_U lays a stream's timing diagram out up to its deadline
+		// when no bound turns up sooner, so the deadline sizes every
+		// row of that diagram: 2^62 panics the allocator, 2^33 costs
+		// a GiB per row.
+		if sp.Deadline > core.MaxSearchHorizon {
+			return nil, nil, fmt.Errorf("admit: candidate %d: deadline %d exceeds the analysis horizon cap %d",
+				k, sp.Deadline, core.MaxSearchHorizon)
+		}
 		newIDs[k] = stream.ID(n + k)
 		cand.Streams = append(cand.Streams, &stream.Stream{
 			ID:       newIDs[k],

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -210,6 +211,38 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestDeadlineCap: a deadline above core.MaxSearchHorizon, given or
+// defaulted from the period, is an error before any diagram is laid
+// out. Deadline 2^62 used to panic a Cal_U worker goroutine and take
+// the whole process down. A deadline at the cap is legal.
+func TestDeadlineCap(t *testing.T) {
+	m := topology.NewMesh2D(4, 4)
+	c, err := New(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []Spec{
+		{Src: 0, Dst: 3, Priority: 1, Period: 50, Length: 4, Deadline: 1 << 62},
+		{Src: 0, Dst: 3, Priority: 1, Period: 50, Length: 4, Deadline: core.MaxSearchHorizon + 1},
+		{Src: 0, Dst: 3, Priority: 1, Period: 1 << 33, Length: 4}, // deadline defaults to the period
+	}
+	for i, sp := range bad {
+		if _, err := c.Admit(sp); err == nil || !strings.Contains(err.Error(), "deadline") {
+			t.Errorf("spec %d: err = %v, want a deadline error", i, err)
+		}
+	}
+	if _, err := c.AdmitBatch([]Spec{{Src: 0, Dst: 3, Priority: 1, Period: 50, Length: 4}, bad[0]}); err == nil {
+		t.Error("batch with an over-cap deadline accepted")
+	}
+	if c.Len() != 0 || c.Stats() != (Stats{}) {
+		t.Fatalf("refused specs left residue: %d streams, stats %+v", c.Len(), c.Stats())
+	}
+	res, err := c.Admit(Spec{Src: 0, Dst: 3, Priority: 1, Period: 50, Length: 4, Deadline: core.MaxSearchHorizon})
+	if err != nil || !res.Admitted {
+		t.Fatalf("deadline at the cap: %v %+v", err, res)
+	}
+}
+
 // TestSnapshotRestoreRoundTrip: snapshot → restore preserves streams,
 // handles, bounds, and handle allocation.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -272,6 +305,7 @@ func TestRestoreRefusesBadSnapshots(t *testing.T) {
 		"infeasible":       func(s *Snapshot) { s.Streams[0].Deadline = 1 },
 		"invalid stream":   func(s *Snapshot) { s.Streams[0].Period = -4 },
 		"latency conflict": func(s *Snapshot) { s.RouterLatency = 2 },
+		"deadline cap":     func(s *Snapshot) { s.Streams[0].Deadline = core.MaxSearchHorizon + 1 },
 	}
 	for name, mutate := range cases {
 		sn := *base

@@ -46,6 +46,10 @@ func randSpec(rng *rand.Rand, nodes int) Spec {
 
 // mirrorReport rebuilds the surviving specs as a fresh set and runs
 // the offline test — the oracle the controller is compared against.
+// The offline test stops Cal_U at the bound exactly as the controller
+// does, so every bound is also checked against the diagram laid out to
+// the full deadline (CalUHorizon), which shares no early exit with
+// either.
 func mirrorReport(t *testing.T, topo topology.Topology, specs []Spec) *core.Report {
 	t.Helper()
 	r, err := routing.ForTopology(topo)
@@ -61,6 +65,20 @@ func mirrorReport(t *testing.T, topo topology.Topology, specs []Spec) *core.Repo
 	rep, err := core.DetermineFeasibility(set)
 	if err != nil {
 		t.Fatal(err)
+	}
+	a, err := core.NewAnalyzer(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calc := a.NewCalc()
+	for _, v := range rep.Verdicts {
+		u, err := calc.CalUHorizon(v.ID, v.Deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u != v.U {
+			t.Fatalf("stream %d: U = %d, full-horizon Cal_U = %d", v.ID, v.U, u)
+		}
 	}
 	return rep
 }
@@ -155,6 +173,45 @@ func TestDifferentialAdmitWithdraw(t *testing.T) {
 				specs[i] = l.spec
 			}
 			assertReportsIdentical(t, c.Report(), mirrorReport(t, topo, specs), "after step")
+		}
+	}
+}
+
+// TestDifferentialLongDeadlines runs the battery with deadlines of
+// 512–4607 flit times, long enough that Cal_U tries shorter horizons
+// before the deadline, so the early exit is what the full-horizon
+// oracle in mirrorReport checks.
+func TestDifferentialLongDeadlines(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 6; trial++ {
+		topo := topology.NewMesh2D(4+rng.Intn(3), 4+rng.Intn(3))
+		c, err := New(topo, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var handles []Handle
+		var specs []Spec
+		for step := 0; step < 25; step++ {
+			if len(handles) > 0 && rng.Intn(4) == 0 {
+				k := rng.Intn(len(handles))
+				if _, err := c.Withdraw(handles[k]); err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles[:k], handles[k+1:]...)
+				specs = append(specs[:k], specs[k+1:]...)
+			} else {
+				sp := randSpec(rng, topo.Nodes())
+				sp.Deadline = 512 + rng.Intn(4096)
+				res, err := c.Admit(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Admitted {
+					handles = append(handles, res.Handles[0])
+					specs = append(specs, sp)
+				}
+			}
+			assertReportsIdentical(t, c.Report(), mirrorReport(t, topo, specs), fmt.Sprintf("trial %d step %d", trial, step))
 		}
 	}
 }

@@ -151,13 +151,9 @@ func (a *Analyzer) CalUHorizon(id stream.ID, horizon int) (int, error) {
 // flit times means the HP demand saturates the stream's capacity.
 const MaxSearchHorizon = 1 << 21
 
-// CalUSearch computes the delay upper bound without a deadline cap: the
-// horizon is doubled (starting from the deadline or the latency,
-// whichever is larger) until the bound is found or MaxSearchHorizon is
-// exceeded. Because the diagram construction is window-local, a longer
-// horizon never changes earlier columns, so the first bound found is
-// the bound. Used by the simulation study, which inflates periods when
-// U > T rather than rejecting streams.
+// CalUSearch computes a delay upper bound without a deadline cap: it is
+// CalUSearchCap at MaxSearchHorizon. Used by the simulation study,
+// which inflates periods when U > T rather than rejecting streams.
 func (a *Analyzer) CalUSearch(id stream.ID) (int, error) {
 	return a.CalUSearchCap(id, MaxSearchHorizon)
 }
@@ -167,13 +163,19 @@ func (a *Analyzer) CalUSearch(id stream.ID) (int, error) {
 // cap near the simulated time — a bound beyond the experiment horizon
 // carries no information and is expensive to chase.
 //
-// The diagram construction is window-local, but a period window
-// truncated by the horizon can place (and release) demand differently
-// from its complete version, and via chains propagate such boundary
-// effects inward by at most one period per chain hop. A bound u found
-// at horizon h is therefore only accepted once u plus that stability
-// margin fits inside h; otherwise the horizon keeps doubling. At the
-// cap the best-effort bound is returned.
+// The search itself defines the bound. It visits the horizons h0·2^k,
+// where h0 is the larger of the deadline and the latency, up to the
+// cap. It returns the first bound u found at a horizon h with
+// u + margin ≤ h, where the margin is the largest HP period times the
+// number of HP elements plus one. When no visited horizon passes that
+// test, it returns the bound of the largest horizon that found one, or
+// -1. The margin keeps u clear of the windows the horizon cuts short,
+// but it does not make u the bound of any longer horizon. Once Modify
+// runs, Cal_U need not settle as the horizon grows: it can alternate
+// forever (TestCalUOscillatesWithHorizon), and a bound the margin
+// accepts can differ from the bound at every longer horizon
+// (TestCalUMarginRuleUnsound). CalU, which answers for one horizon,
+// stops early only on a certificate from the Modify run itself.
 func (a *Analyzer) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	return a.NewCalc().CalUSearchCap(id, maxHorizon)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -51,15 +52,70 @@ func (c *Calc) elements(id stream.ID) []Element {
 // CalU computes the delay upper bound of the given stream with the
 // deadline as horizon (the paper's Cal_U). It returns -1 when the
 // bound does not exist within the deadline (the stream is infeasible).
+// The result is CalUHorizon(id, deadline); see calUBounded for how it
+// gets there without always laying the diagram out to the deadline.
 func (c *Calc) CalU(id stream.ID) (int, error) {
 	s := c.a.Set.Get(id)
 	if s == nil {
 		return 0, fmt.Errorf("core: no stream %d", id)
 	}
-	return c.CalUHorizon(id, s.Deadline)
+	c.ar.Reset()
+	return calUBounded(c.elements(id), s.Latency, s.Deadline, &c.ar)
+}
+
+// calUBounded is the paper's Cal_U over elems with the deadline as
+// horizon: the time at which the result row has accumulated required
+// FREE slots, or -1 when it has not by the deadline. Like the paper's
+// scan it stops at the bound. It lays the initial diagram out at a
+// short horizon h, modifies a clone, and returns the bound u as soon
+// as u lies below the frontier that Modify certifies: below it, every
+// longer horizon, the deadline included, gives the same result row.
+// Otherwise it grows the unmodified diagram (Grow is exact before
+// Modify) and tries again. The horizons are max(64, required) times
+// powers of 8 up to deadline/8, then the deadline itself, so the
+// horizons below the deadline cost at most a seventh of the final
+// layout, and the last attempt is exactly CalUHorizon's computation.
+// A horizon whose frontier starts below required is skipped: Modify
+// only lowers the frontier, and u ≥ required. elems must have positive
+// periods, as the HP rows of a validated set do.
+func calUBounded(elems []Element, required, deadline int, ar *Arena) (int, error) {
+	indirect := slices.ContainsFunc(elems, func(e Element) bool { return e.Mode == Indirect })
+	var buf [8]int
+	horizons := buf[:0]
+	for h := max(64, required); h <= deadline/8; h *= 8 {
+		if !indirect || cutFrontier(elems, h) >= required {
+			horizons = append(horizons, h)
+		}
+	}
+	horizons = append(horizons, deadline)
+	d, err := newDiagram(elems, horizons[0], ar)
+	if err != nil {
+		return 0, err
+	}
+	for _, h := range horizons[:len(horizons)-1] {
+		if err := d.Grow(h); err != nil {
+			return 0, err
+		}
+		u, f := d.DelayUpperBound(required), h
+		if indirect {
+			m := d.clone(ar)
+			f = m.modify(true)
+			u = m.DelayUpperBound(required)
+		}
+		if u >= 0 && u <= f {
+			return u, nil
+		}
+	}
+	if err := d.Grow(deadline); err != nil {
+		return 0, err
+	}
+	d.Modify()
+	return d.DelayUpperBound(required), nil
 }
 
 // CalUHorizon computes the delay upper bound with an explicit horizon.
+// It always lays the diagram out to the horizon, so CalUHorizon(id,
+// deadline) is the oracle CalU is tested against.
 func (c *Calc) CalUHorizon(id stream.ID, horizon int) (int, error) {
 	s := c.a.Set.Get(id)
 	if s == nil {
@@ -76,7 +132,7 @@ func (c *Calc) CalUHorizon(id stream.ID, horizon int) (int, error) {
 
 // CalUSearchCap computes the delay upper bound with a doubling-horizon
 // search capped at maxHorizon; see Analyzer.CalUSearchCap for the
-// search and stability-margin semantics.
+// search and its margin rule.
 //
 // The horizons h0·2^k are not all visited. A bound u is accepted only
 // once u + margin ≤ h, and u ≥ L, so no horizon below L + margin can

@@ -343,8 +343,9 @@ func (d *Diagram) claim(row, from, to, want int) int {
 // laid out from scratch. The result is byte-identical to building the
 // diagram at newHorizon from scratch (the differential tests pin
 // this). Growing a modified diagram is an error: Modify's releases are
-// not window-local, so CalUSearchCap grows the unmodified diagram and
-// applies Modify to a clone per horizon.
+// not window-local, so both users — CalUSearchCap and CalU's early exit
+// (calUBounded) — grow the unmodified diagram and apply Modify to a
+// clone per horizon.
 func (d *Diagram) Grow(newHorizon int) error {
 	if d.modified {
 		return fmt.Errorf("core: cannot grow a modified diagram")
@@ -410,8 +411,9 @@ func (d *Diagram) Grow(newHorizon int) error {
 // clone returns an independent copy of the diagram, carving its
 // buffers from ar. The Elements and row-index structures are shared
 // (they are immutable after construction); the slot and demand state
-// is deep-copied. CalUSearchCap clones the incrementally grown initial
-// diagram before each Modify so the grown original stays unmodified.
+// is deep-copied. CalUSearchCap and calUBounded clone the incrementally
+// grown initial diagram before each Modify so the grown original stays
+// unmodified.
 func (d *Diagram) clone(ar *Arena) *Diagram {
 	n := len(d.Elements)
 	c := &Diagram{
@@ -523,10 +525,29 @@ func (d *Diagram) ResultRow() []Cell {
 // candidates are the row's requested slots, the covering set is the
 // union of the via rows' requested slots, and everything in the first
 // but not the second is released at once.
-func (d *Diagram) Modify() {
+func (d *Diagram) Modify() { d.modify(false) }
+
+// modify is Modify. With certify set it also returns the frontier F:
+// slots [0, F) of the modified diagram, result row included, equal
+// those of the same elements modified at any longer horizon.
+// docs/PERFORMANCE.md ("Cal_U stops at the bound") proves the
+// bookkeeping sound. Without certify the bookkeeping is skipped, so
+// Modify costs what it always cost, and the result means nothing.
+func (d *Diagram) modify(certify bool) int {
 	d.modified = true
 	if len(d.morder) == 0 {
-		return
+		// Nothing is released: the diagram is a prefix of every
+		// longer one.
+		return d.Horizon
+	}
+	var f int
+	var pend []int // [row]: first slot a re-scan could change; Horizon when none
+	if certify {
+		f = cutFrontier(d.Elements, d.Horizon)
+		pend = d.ar.grabInts(len(d.Elements))
+		for r := range pend {
+			pend[r] = d.Horizon
+		}
 	}
 	viaRows := d.ar.grabInts(len(d.Elements))[:0]
 	for _, row := range d.morder {
@@ -538,6 +559,7 @@ func (d *Diagram) Modify() {
 			}
 		}
 		changed := false
+		first, changedBelowF := d.Horizon, false
 		req, alloc := d.req[row], d.alloc[row]
 		for w := 0; w < d.words; w++ {
 			cand := req[w]
@@ -551,6 +573,12 @@ func (d *Diagram) Modify() {
 			rel := cand &^ covered
 			if rel == 0 {
 				continue
+			}
+			if certify {
+				first = min(first, w<<6+bits.TrailingZeros64(rel))
+				if ra := rel & alloc[w]; ra != 0 && w<<6+bits.TrailingZeros64(ra) < f {
+					changedBelowF = true
+				}
 			}
 			req[w] &^= rel
 			if relWait := rel &^ alloc[w]; relWait != 0 {
@@ -574,6 +602,23 @@ func (d *Diagram) Modify() {
 				changed = true
 			}
 		}
+		if certify {
+			if !changedBelowF {
+				// Releases at or beyond F alone decide whether the
+				// rows below are re-scanned, and a longer horizon may
+				// decide the other way: certify only what a re-scan of
+				// each of them reproduces.
+				for _, p := range pend[row+1:] {
+					f = min(f, p)
+				}
+			}
+			// A release at or beyond F changes the demand of the
+			// window of this row that straddles F.
+			f -= f % e.Period
+			if first < d.Horizon {
+				pend[row] = d.rescanFrontier(row, first)
+			}
+		}
 		if changed {
 			// The releasing row's surviving slots stay in place (in
 			// Figure 9 the kept instances of M0 and M1 do not move);
@@ -582,8 +627,49 @@ func (d *Diagram) Modify() {
 			// compacted). The reduced demand takes effect if a later,
 			// higher-priority release re-scans this row.
 			d.layout(row + 1)
+			for r := row + 1; r < len(pend); r++ {
+				pend[r] = d.Horizon
+			}
 		}
 	}
+	return f
+}
+
+// cutFrontier is the frontier of an unmodified diagram of elems laid
+// out at horizon h: the earliest start of a period window h cuts
+// short. Below it the diagram equals the prefix of every longer one,
+// and every window starting below it carries its full demand at every
+// horizon.
+func cutFrontier(elems []Element, h int) int {
+	f := h
+	for i := range elems {
+		f = min(f, h-h%elems[i].Period)
+	}
+	return f
+}
+
+// rescanFrontier is the first slot at which re-scanning row could
+// change its alloc or req set, given that p is the first slot the row
+// released since its last scan. That scan visited p, so it claimed
+// every free slot between the start of p's window and p and requested
+// all of them, and the window's remaining demand never falls below
+// those claims. A re-scan makes the same claims and, when the demand
+// is larger, goes on to p: everything before p is reproduced. When the
+// releases emptied the rest of the window, the re-scan's request ends
+// after its last claim before p.
+func (d *Diagram) rescanFrontier(row, p int) int {
+	t := d.Elements[row].Period
+	start, alloc := p-p%t, d.alloc[row]
+	last, claims := start-1, 0
+	for c := start; c < p; c++ {
+		if alloc.get(c) {
+			last, claims = c, claims+1
+		}
+	}
+	if d.demand[row][p/t] > claims {
+		return p
+	}
+	return last + 1
 }
 
 // modifyOrder returns the rows of the indirect elements in ascending

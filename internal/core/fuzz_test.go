@@ -8,16 +8,17 @@ import (
 )
 
 // decodeFuzzElements decodes up to 8 elements from the raw bytes,
-// 5 bytes each: priority, period, length, mode, via-target. Shared by
-// FuzzDiagram and FuzzDiagramDifferential so both explore the same
-// input space (and share a corpus shape).
+// 5 bytes each: priority, period (1–64), length, mode, via-target.
+// Shared by FuzzDiagram, FuzzDiagramDifferential and FuzzCalUEarlyExit
+// so all three explore the same input space (and share a corpus
+// shape).
 func decodeFuzzElements(raw []byte) []Element {
 	var elems []Element
 	for i := 0; i+5 <= len(raw) && len(elems) < 8; i += 5 {
 		e := Element{
 			ID:       stream.ID(len(elems)),
 			Priority: int(raw[i]),
-			Period:   1 + int(raw[i+1])%40,
+			Period:   1 + int(raw[i+1])%64,
 			Length:   1 + int(raw[i+2])%20,
 		}
 		if raw[i+3]%2 == 1 {
@@ -85,6 +86,30 @@ func FuzzDiagramDifferential(f *testing.F) {
 		ref.Modify()
 		assertDiagramsEqual(t, opt, ref, elems, "fuzz modified")
 	})
+}
+
+// FuzzCalUEarlyExit pins Cal_U's early exit to the full-horizon
+// computation on fuzzer-decoded element sets: checkEarlyExit at a
+// horizon h below a deadline D ≤ 3000. The seeds are the two cases
+// that rule out a closed-form stability margin (earlyExitCaseA and
+// earlyExitCaseB, renumbered 0–3 in the same row order).
+func FuzzCalUEarlyExit(f *testing.F) {
+	f.Add([]byte{2, 26, 11, 1, 3, 1, 7, 1, 0, 0, 3, 41, 5, 1, 3, 2, 13, 4, 1, 1}, 2, 341, 511)
+	f.Add([]byte{3, 37, 12, 1, 3, 4, 38, 7, 1, 3, 4, 24, 7, 0, 0, 3, 11, 3, 0, 0}, 11, 827, 1052)
+	f.Add([]byte{3, 10, 2, 0, 0, 2, 15, 3, 1, 3, 1, 13, 4, 0, 0}, 5, 40, 900)
+	f.Fuzz(func(t *testing.T, raw []byte, reqRaw, hRaw, dRaw int) {
+		deadline := 2 + fuzzMod(dRaw, 2999)
+		h := 1 + fuzzMod(hRaw, deadline-1)
+		checkEarlyExit(t, decodeFuzzElements(raw), 1+fuzzMod(reqRaw, 128), h, deadline)
+	})
+}
+
+// fuzzMod maps a fuzzer int onto [0, n), negative values included.
+func fuzzMod(v, n int) int {
+	if v %= n; v < 0 {
+		v += n
+	}
+	return v
 }
 
 // TestQuickModifyIdempotence pins down in what sense Modify is

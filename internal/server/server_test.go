@@ -196,6 +196,48 @@ func TestRejectionIs409WithStructuredBody(t *testing.T) {
 	}
 }
 
+// TestOverCapDeadlineIs400: a deadline beyond the analysis horizon cap
+// is a malformed request. It used to panic a Cal_U worker and kill the
+// daemon; now it is a 400, nothing is committed or persisted, and the
+// daemon keeps serving.
+func TestOverCapDeadlineIs400(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	_, ts := newTestServer(t, path)
+	resp := postJSON(t, ts.URL+"/v1/streams", paperStream(0))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first admit: status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := paperStream(1)
+	over.Deadline = 1 << 62
+	resp = postJSON(t, ts.URL+"/v1/streams", over)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("deadline 2^62: status %d, want 400", resp.StatusCode)
+	}
+	if er := decode[ErrorResponse](t, resp); !strings.Contains(er.Error, "deadline") {
+		t.Fatalf("deadline 2^62: error %q does not name the deadline", er.Error)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused admission touched the snapshot: %v", err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := decode[ReportResponse](t, resp); rep.Streams != 1 {
+		t.Fatalf("after the refused admission: %d streams, want 1", rep.Streams)
+	}
+	resp = postJSON(t, ts.URL+"/v1/streams", paperStream(1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("admit after the refusal: status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+}
+
 func TestJobBatchIsAtomic(t *testing.T) {
 	_, ts := newTestServer(t, "")
 	resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{
