@@ -508,6 +508,49 @@ func BenchmarkCalU(b *testing.B) {
 	}
 }
 
+// BenchmarkInflate measures the paper's period-inflation rule
+// (workload.Inflate at the 65536-slot cap the tables use) on the first
+// trial of Table 2 (60 streams, 1 level) and of Table 5 (60 streams,
+// 15 levels, the shape of mc-campaign's contended point). Nearly all
+// of its time is CalUSearchCap's Modify runs. Inflate raises periods
+// in place, so every iteration inflates a freshly generated set, and
+// only Inflate is timed. The reported bounded count pins the result.
+func BenchmarkInflate(b *testing.B) {
+	for _, fx := range []struct {
+		name             string
+		streams, plevels int
+		seed             int64
+	}{
+		{"table2-seed1002", 60, 1, 1002},
+		{"table5-seed1005", 60, 15, 1005},
+	} {
+		b.Run(fx.name, func(b *testing.B) {
+			cfg := workload.PaperDefaults(fx.streams, fx.plevels, fx.seed)
+			cfg.InflatePeriods = false
+			bounded := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				set, a, err := workload.Generate(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				us, err := workload.Inflate(set, a, 1<<16)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bounded = 0
+				for _, u := range us {
+					if u >= 0 {
+						bounded++
+					}
+				}
+			}
+			b.ReportMetric(float64(bounded), "bounded")
+		})
+	}
+}
+
 // BenchmarkSimulator measures raw simulation throughput: cycles per
 // second on the paper's Table 3 workload.
 func BenchmarkSimulator(b *testing.B) {

@@ -58,3 +58,15 @@ func nthSet(x uint64, n int) int {
 	}
 	return bits.TrailingZeros64(x)
 }
+
+// spanMask returns the bits of word w that fall in [lo, hi).
+func spanMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if b := w << 6; lo > b {
+		m <<= uint(lo - b)
+	}
+	if b := w<<6 + 64; hi < b {
+		m &= ^uint64(0) >> uint(b-hi)
+	}
+	return m
+}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/stream"
 )
@@ -107,9 +108,11 @@ type Element struct {
 // The layout of the diagram is fully determined by the per-window
 // demand of every row: window k of row r (time slots k*T+1 .. (k+1)*T)
 // claims demand[r][k] slots, greedily from the start of the window.
-// Modify_Diagram releases demand of indirect elements; the diagram is
-// then re-laid-out, which makes the "Update T_d consistently" step of
-// the paper's pseudocode idempotent.
+// Modify_Diagram releases demand of indirect elements; the rows below
+// are then re-laid-out, which makes the "Update T_d consistently" step
+// of the paper's pseudocode idempotent. The re-layout (relayout)
+// re-scans only the windows whose scan can change and ends in exactly
+// the state a full re-scan of those rows would leave.
 //
 // Instead of the dense [row][col] cell matrix of the reference engine
 // (dense.go), the diagram stores per-row bitsets plus one shared
@@ -136,7 +139,8 @@ type Diagram struct {
 	words  int      // 64-bit words per row bitset
 	alloc  []bitset // [row]: ALLOCATED slots
 	req    []bitset // [row]: ALLOCATED ∪ WAITING slots
-	freed  []bitset // [row]: slots Modify freed while a higher row still occupies them (view-only); rows lazily allocated
+	freed  []bitset // [row]: slots Modify released from the row since it was last re-laid; nil when none
+	spare  []bitset // zeroed freed rows of re-laid rows, for release to reuse
 	occ    bitset   // union of all alloc sets; the result row
 	demand [][]int  // [row][window] remaining slots to claim
 
@@ -230,7 +234,7 @@ func newDiagram(elems []Element, horizon int, ar *Arena) (*Diagram, error) {
 			break
 		}
 	}
-	d.layout(0)
+	d.layout()
 	return d, nil
 }
 
@@ -248,20 +252,10 @@ func (d *Diagram) rowIndex(id stream.ID) (int, bool) {
 	return r, ok
 }
 
-// layout re-derives rows from..end from the current per-window
-// demands: the occupancy column is rebuilt from the fixed rows above
-// from, and each row from..end is scanned in priority order.
-func (d *Diagram) layout(from int) {
-	clear(d.occ)
-	for r := 0; r < from; r++ {
-		d.alloc[r].orInto(d.occ)
-	}
-	for r := from; r < len(d.Elements); r++ {
-		clear(d.alloc[r])
-		clear(d.req[r])
-		if d.freed != nil && d.freed[r] != nil {
-			clear(d.freed[r])
-		}
+// layout is the initial scan (Generate_Init_Diagram): every row, in
+// priority order, against the occupancy of the rows scanned before it.
+func (d *Diagram) layout() {
+	for r := range d.Elements {
 		d.scanRow(r)
 	}
 }
@@ -308,14 +302,7 @@ func (d *Diagram) claim(row, from, to, want int) int {
 		if lo >= to {
 			break
 		}
-		mask := ^uint64(0)
-		if lo < from {
-			mask <<= uint(from - lo)
-		}
-		if hi := lo + 64; hi > to {
-			mask &= ^uint64(0) >> uint(hi-to)
-		}
-		free := ^occ[w] & mask
+		free := ^occ[w] & spanMask(w, from, to)
 		n := bits.OnesCount64(free)
 		if claimed+n < want {
 			alloc[w] |= free
@@ -331,6 +318,191 @@ func (d *Diagram) claim(row, from, to, want int) int {
 	}
 	d.req[row].setRange(from, stop)
 	return claimed
+}
+
+// relayout is "Update T_d consistently" after row released the
+// allocated slots in delta: rows row+1.. end exactly as clearing and
+// re-scanning each of them would leave them, but only the windows
+// whose scan can change are re-scanned (docs/PERFORMANCE.md, "Modify
+// re-lays only what changed").
+//
+// A window's scan depends only on its demand and on the occupancy by
+// the rows above inside the range it visits, which is its request
+// range. delta holds the slots where that occupancy differs from what
+// the row being re-laid last scanned against; dsum marks its words
+// that are non-zero. A row's window is re-scanned from its first
+// trigger: a slot where delta meets its request range, or a slot the
+// row released since its last scan of the window (which changed its
+// demand or its request range). The window the horizon truncates is
+// re-scanned even without a trigger: its demand was clamped to what it
+// placed, so a re-scan stops requesting after its last claim. Each
+// re-scan XORs the window's old alloc ⊕ new alloc into delta, exact
+// because at most one row allocates any slot. occ is the occupancy
+// before the release until the last row is done, and then takes delta.
+func (d *Diagram) relayout(row int, delta, dsum bitset) {
+	for x := row + 1; x < len(d.Elements); x++ {
+		cut := d.Horizon % d.Elements[x].Period
+		for pos := 0; pos < d.Horizon; {
+			s := d.nextTrigger(x, pos, delta, dsum)
+			if s < 0 {
+				if cut == 0 {
+					break
+				}
+				s = d.Horizon - cut
+			}
+			pos = d.rescan(x, s, delta, dsum)
+		}
+		if d.freed != nil && d.freed[x] != nil {
+			// Every window holding a release was re-scanned, which
+			// cleared it.
+			d.spare = append(d.spare, d.freed[x])
+			d.freed[x] = nil
+		}
+	}
+	for sw, m := range dsum {
+		for ; m != 0; m &= m - 1 {
+			w := sw<<6 + bits.TrailingZeros64(m)
+			d.occ[w] ^= delta[w]
+			delta[w] = 0
+		}
+		dsum[sw] = 0
+	}
+}
+
+// nextTrigger returns the first slot at or after pos where delta meets
+// row x's request or x released a slot since its last scan, or -1.
+// Releases are dense where a row has them, so a row with releases
+// pending is walked word by word; otherwise dsum skips the quiet words.
+func (d *Diagram) nextTrigger(x, pos int, delta, dsum bitset) int {
+	req, w0 := d.req[x], pos>>6
+	lead := ^uint64(0) << uint(pos&63) // word w0's bits at or after pos
+	if d.freed != nil && d.freed[x] != nil {
+		freed := d.freed[x]
+		for w, m := w0, lead; w < d.words; w, m = w+1, ^uint64(0) {
+			if v := (delta[w]&req[w] | freed[w]) & m; v != 0 {
+				return w<<6 + bits.TrailingZeros64(v)
+			}
+		}
+		return -1
+	}
+	for sw := w0 >> 6; sw < len(dsum); sw++ {
+		m := dsum[sw]
+		if sw == w0>>6 {
+			m &= ^uint64(0) << uint(w0&63)
+		}
+		for ; m != 0; m &= m - 1 {
+			w := sw<<6 + bits.TrailingZeros64(m)
+			v := delta[w] & req[w]
+			if w == w0 {
+				v &= lead
+			}
+			if v != 0 {
+				return w<<6 + bits.TrailingZeros64(v)
+			}
+		}
+	}
+	return -1
+}
+
+// rescan re-runs row x's scan of the window holding slot from, its
+// first trigger, from that slot on, and returns the window's end. Up
+// to from nothing the scan reads or demands has changed, so the claims
+// before from stand, unless they already meet the window's demand
+// (releases lowered it); the scan then starts over at the window's
+// start. The old and the new request range are cleared and written
+// word by word until both have ended, the row's releases in the window
+// are forgotten, and the changed claims go into delta.
+func (d *Diagram) rescan(x, from int, delta, dsum bitset) int {
+	e := &d.Elements[x]
+	k, start := from/e.Period, from-from%e.Period
+	end := min(start+e.Period, d.Horizon)
+	alloc, req := d.alloc[x], d.req[x]
+	var freed bitset
+	if d.freed != nil {
+		freed = d.freed[x]
+	}
+	want, kept := d.demand[x][k], 0
+	for w := start >> 6; w < wordsFor(from); w++ {
+		kept += bits.OnesCount64(alloc[w] & spanMask(w, start, from))
+	}
+	if kept >= want {
+		from, kept = start, 0
+	}
+	want -= kept
+	claimed, inOld := 0, true
+	for w := from >> 6; w < wordsFor(end) && (claimed < want || inOld); w++ {
+		mask := spanMask(w, from, end)
+		// Slots the row released since its last scan.
+		var hole uint64
+		if freed != nil {
+			hole = freed[w] & mask
+			freed[w] &^= mask
+		}
+		// The old request range, holes filled, is contiguous from
+		// start: it continues past this word iff it covers the rest of
+		// the word.
+		oldA, oldR := alloc[w]&mask, req[w]&mask|hole
+		inOld = oldR == mask
+		var newA, newR uint64
+		if claimed < want {
+			// In the old request range the row saw the slots it waited
+			// in as occupied, and delta says what changed since. A hole
+			// does not say whether it was waited in, so there, and past
+			// the old range, the occupancy above is read.
+			exact := oldR &^ hole
+			above := (oldR&^oldA ^ delta[w]) & exact
+			if rest := mask &^ exact; rest != 0 {
+				above |= d.aboveWord(x, w, delta) & rest
+			}
+			free := ^above & mask
+			if n := bits.OnesCount64(free); claimed+n < want {
+				newA, newR = free, mask
+				claimed += n
+			} else {
+				newA = lowestN(free, want-claimed)
+				newR = mask & (^uint64(0) >> uint(bits.LeadingZeros64(newA)))
+				claimed = want
+			}
+		}
+		alloc[w] = alloc[w]&^mask | newA
+		req[w] = req[w]&^mask | newR
+		if ch := oldA ^ newA; ch != 0 {
+			// A slot released above and claimed here is no change for
+			// the rows below: keep dsum exact so they skip it.
+			if delta[w] ^= ch; delta[w] != 0 {
+				dsum[w>>6] |= 1 << uint(w&63)
+			} else {
+				dsum[w>>6] &^= 1 << uint(w&63)
+			}
+		}
+	}
+	if end < start+e.Period {
+		d.demand[x][k] = kept + claimed
+	}
+	return start + e.Period
+}
+
+// aboveWord returns word w of the occupancy by the rows above x as they
+// now stand. Rows above x are final, and the rows from x down still
+// hold what they held before the release, so either side gives it:
+// the union of the rows above, or the pre-release occupancy less the
+// rows from x down, which is what x last scanned against, corrected by
+// delta. Whichever side has fewer rows is read. The second side needs
+// occ to be the pre-release occupancy: were it updated row by row, a
+// slot a row above newly claims while a row below still holds it would
+// be removed with the rows below.
+func (d *Diagram) aboveWord(x, w int, delta bitset) uint64 {
+	var u uint64
+	if n := len(d.Elements); 2*x <= n {
+		for r := 0; r < x; r++ {
+			u |= d.alloc[r][w]
+		}
+		return u
+	}
+	for r := x; r < len(d.Elements); r++ {
+		u |= d.alloc[r][w]
+	}
+	return (d.occ[w] &^ u) ^ delta[w]
 }
 
 // Grow extends the horizon of an unmodified diagram in place, laying
@@ -467,8 +639,8 @@ func (d *Diagram) rowCells(row int, above bitset, out []Cell) {
 		case req.get(c):
 			out[c] = Waiting
 		case freed != nil && freed.get(c):
-			// Modify freed the slot while a higher row still occupies
-			// it; the dense engine shows it FREE, not BUSY.
+			// Modify released the slot; the dense engine shows it
+			// FREE even where a higher row occupies it.
 			out[c] = Free
 		case above.get(c):
 			out[c] = Busy
@@ -550,6 +722,8 @@ func (d *Diagram) modify(certify bool) int {
 		}
 	}
 	viaRows := d.ar.grabInts(len(d.Elements))[:0]
+	var delta, dsum bitset // relayout's scratch, borrowed on the first allocated release
+	var scratch *bitset
 	for _, row := range d.morder {
 		e := &d.Elements[row]
 		viaRows = viaRows[:0]
@@ -581,20 +755,15 @@ func (d *Diagram) modify(certify bool) int {
 				}
 			}
 			req[w] &^= rel
-			if relWait := rel &^ alloc[w]; relWait != 0 {
-				// The slot stays occupied by the higher row that
-				// preempted us; remember it reads FREE, not BUSY.
-				if d.freed == nil {
-					d.freed = d.ar.grabSets(len(d.Elements))
-				}
-				if d.freed[row] == nil {
-					d.freed[row] = d.ar.grabWords(d.words)
-				}
-				d.freed[row][w] |= relWait
-			}
+			d.release(row, w, rel)
 			if relAlloc := rel & alloc[w]; relAlloc != 0 {
 				alloc[w] &^= relAlloc
-				d.occ[w] &^= relAlloc
+				if delta == nil {
+					scratch = borrowScratch(d.words + wordsFor(d.words))
+					delta, dsum = (*scratch)[:d.words], (*scratch)[d.words:]
+				}
+				delta[w] = relAlloc
+				dsum[w>>6] |= 1 << uint(w&63)
 				for b := relAlloc; b != 0; b &= b - 1 {
 					col := w<<6 + bits.TrailingZeros64(b)
 					d.demand[row][col/e.Period]--
@@ -626,13 +795,53 @@ func (d *Diagram) modify(certify bool) int {
 			// capacity ("Update T_d consistently" — M3's instance is
 			// compacted). The reduced demand takes effect if a later,
 			// higher-priority release re-scans this row.
-			d.layout(row + 1)
+			d.relayout(row, delta, dsum)
 			for r := row + 1; r < len(pend); r++ {
 				pend[r] = d.Horizon
 			}
 		}
 	}
+	if scratch != nil {
+		scratchPool.Put(scratch) // relayout left it zeroed
+	}
 	return f
+}
+
+// scratchPool recycles relayout's scratch (delta and dsum) between
+// Modify calls. Arenas live as long as their Calc, and the admission
+// daemon builds a fresh Calc for every batch, so scratch kept in an
+// arena would be allocated again for every batch: 260 KiB for a
+// diagram laid out to 2^21 slots.
+var scratchPool sync.Pool // of *bitset, zeroed
+
+// borrowScratch returns a zeroed bitset of n words from scratchPool.
+func borrowScratch(n int) *bitset {
+	if b, ok := scratchPool.Get().(*bitset); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make(bitset, n)
+	return &b
+}
+
+// release records that row released the slots rel of word w. A
+// released slot reads FREE in the row's view: a released WAITING slot
+// stays occupied by a higher row, and no row above holds a released
+// ALLOCATED one. The record lasts until the row is next re-laid, so it
+// also tells relayout which windows lost demand or request.
+func (d *Diagram) release(row, w int, rel uint64) {
+	if d.freed == nil {
+		n := len(d.Elements)
+		d.freed, d.spare = d.ar.grabSets(n), d.ar.grabSets(n)[:0]
+	}
+	if d.freed[row] == nil {
+		if k := len(d.spare) - 1; k >= 0 {
+			d.freed[row], d.spare = d.spare[k], d.spare[:k]
+		} else {
+			d.freed[row] = d.ar.grabWords(d.words)
+		}
+	}
+	d.freed[row][w] |= rel
 }
 
 // cutFrontier is the frontier of an unmodified diagram of elems laid

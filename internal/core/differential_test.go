@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/stream"
@@ -126,15 +128,84 @@ func TestDifferentialThousandSets(t *testing.T) {
 		elems := randDiffElems(rng)
 		horizon := 20 + rng.Intn(230)
 		ar.Reset()
-		opt, ref := buildBoth(t, &ar, elems, horizon)
-		assertDiagramsEqual(t, opt, ref, elems, "initial")
-		opt.Modify()
-		ref.Modify()
-		assertDiagramsEqual(t, opt, ref, elems, "modified")
-		opt.Modify()
-		ref.Modify()
-		assertDiagramsEqual(t, opt, ref, elems, "modified twice")
+		checkModifyDifferential(t, &ar, elems, horizon, fmt.Sprintf("set %d", trial))
 	}
+}
+
+// randWideElems draws the shape Modify's incremental re-layout is built
+// for and randDiffElems never reaches: 8–40 elements over a few
+// priority levels (so most rows tie and sort by ID), lengths 1–40,
+// periods mostly long enough (up to 1,500) that one window spans many
+// words, an eighth of them short and hot, and indirect elements whose
+// one or two vias chain into the rows just below them. The load stays
+// near one, so vias leave slots uncovered and one release cascades
+// through many rows (about 10 re-layouts of 15 rows per set).
+func randWideElems(rng *rand.Rand) []Element {
+	n := 8 + rng.Intn(33)
+	levels := 1 + rng.Intn(4)
+	elems := make([]Element, n)
+	for i := range elems {
+		length := 1 + rng.Intn(40)
+		period := min(1500, length*(n/2+rng.Intn(3*n)))
+		if rng.Intn(8) == 0 {
+			period = 2 + rng.Intn(89)
+		}
+		elems[i] = Element{
+			ID:       stream.ID(i),
+			Priority: levels - i*levels/n,
+			Period:   period,
+			Length:   length,
+		}
+	}
+	for i := 0; i < n-1; i++ {
+		if rng.Intn(4) != 0 {
+			elems[i].Mode = Indirect
+			for v := 0; v < 1+rng.Intn(2); v++ {
+				elems[i].Via = append(elems[i].Via, stream.ID(i+1+rng.Intn(min(n-i-1, 8))))
+			}
+		}
+	}
+	return elems
+}
+
+// checkModifyDifferential compares the two engines on elems at the
+// horizon: initially, after Modify and after a second Modify.
+func checkModifyDifferential(t *testing.T, ar *Arena, elems []Element, horizon int, label string) {
+	t.Helper()
+	opt, ref := buildBoth(t, ar, elems, horizon)
+	assertDiagramsEqual(t, opt, ref, elems, label+" initial")
+	opt.Modify()
+	ref.Modify()
+	assertDiagramsEqual(t, opt, ref, elems, label+" modified")
+	opt.Modify()
+	ref.Modify()
+	assertDiagramsEqual(t, opt, ref, elems, label+" modified twice")
+}
+
+// TestDifferentialWideWindows runs the dense oracle on randWideElems
+// at horizons up to 8,192 slots.
+func TestDifferentialWideWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	var ar Arena
+	sets := 300
+	if testing.Short() {
+		sets = 40
+	}
+	for trial := 0; trial < sets; trial++ {
+		elems := randWideElems(rng)
+		horizon := 256 + rng.Intn(7937)
+		ar.Reset()
+		checkModifyDifferential(t, &ar, elems, horizon, fmt.Sprintf("trial %d (horizon %d)", trial, horizon))
+	}
+}
+
+// CheckHPSetDifferential runs checkModifyDifferential on the diagram
+// rows of stream id's HP set in a. It is exported for the external
+// test package, whose §5 pools come from workload, which imports core.
+func CheckHPSetDifferential(t *testing.T, a *Analyzer, id stream.ID, horizon int) {
+	t.Helper()
+	elems := slices.Clone(a.NewCalc().elements(id))
+	checkModifyDifferential(t, nil, elems, horizon, fmt.Sprintf("stream %d", id))
 }
 
 // TestDifferentialGrowMatchesFresh: growing the optimized diagram

@@ -88,6 +88,69 @@ func FuzzDiagramDifferential(f *testing.F) {
 	})
 }
 
+// decodeWideElements decodes up to 16 elements from the raw bytes,
+// 7 bytes each: priority, period (two bytes, 1–1024), length (1–40),
+// mode and two via targets. An odd mode byte makes the element
+// indirect through the first target, and also through the second when
+// its bit 1 is set. decodeFuzzElements' periods of at most 64 keep
+// every window within two words; these span many.
+func decodeWideElements(raw []byte) []Element {
+	var elems []Element
+	for i := 0; i+7 <= len(raw) && len(elems) < 16; i += 7 {
+		e := Element{
+			ID:       stream.ID(len(elems)),
+			Priority: int(raw[i]),
+			Period:   1 + (int(raw[i+1])<<8|int(raw[i+2]))%1024,
+			Length:   1 + int(raw[i+3])%40,
+		}
+		if m := raw[i+4]; m&1 == 1 {
+			e.Mode = Indirect
+			e.Via = []stream.ID{stream.ID(int(raw[i+5]) % 17)}
+			if m&2 != 0 {
+				e.Via = append(e.Via, stream.ID(int(raw[i+6])%17))
+			}
+		}
+		elems = append(elems, e)
+	}
+	return elems
+}
+
+// FuzzModifyWideWindows cross-checks Modify's incremental re-layout
+// against the dense reference on fuzzer-decoded sets with wide windows
+// at horizons up to 4,096: every observable, initially and after one
+// and two Modify calls. The seeds are the two traps an incremental
+// re-layout can fall into (docs/PERFORMANCE.md, "Modify re-lays only
+// what changed"). Trap 1, at horizons 21 and 29: the window the
+// horizon truncates must be re-scanned even when nothing above it
+// changed, or the lowest row keeps requesting past its clamped demand.
+// Trap 2, at horizon 34: mid-re-layout a row above newly claims slots
+// a row below still holds, so the occupancy above a row must not be
+// read off an occupancy column updated row by row, less that row's own
+// old claims and the rows below.
+func FuzzModifyWideWindows(f *testing.F) {
+	trap1 := []byte{
+		5, 0, 20, 3, 0, 0, 0, // 0: P5 T21 C4 direct
+		4, 0, 22, 2, 1, 3, 0, // 1: P4 T23 C3 via 3
+		3, 0, 20, 0, 1, 4, 0, // 2: P3 T21 C1 via 4
+		2, 0, 4, 0, 1, 4, 0, // 3: P2 T5 C1 via 4
+		1, 0, 7, 4, 0, 0, 0, // 4: P1 T8 C5 direct
+	}
+	trap2 := []byte{
+		5, 0, 23, 6, 3, 2, 1, // 0: P5 T24 C7 via 2, 1
+		4, 0, 12, 1, 0, 0, 0, // 1: P4 T13 C2 direct
+		3, 0, 6, 4, 1, 3, 0, // 2: P3 T7 C5 via 3
+		2, 0, 18, 0, 0, 0, 0, // 3: P2 T19 C1 direct
+		1, 0, 16, 6, 0, 0, 0, // 4: P1 T17 C7 direct
+	}
+	f.Add(trap1, 20)
+	f.Add(trap1, 28)
+	f.Add(trap2, 33)
+	f.Fuzz(func(t *testing.T, raw []byte, horizonRaw int) {
+		var ar Arena
+		checkModifyDifferential(t, &ar, decodeWideElements(raw), 1+fuzzMod(horizonRaw, 4096), "fuzz")
+	})
+}
+
 // FuzzCalUEarlyExit pins Cal_U's early exit to the full-horizon
 // computation on fuzzer-decoded element sets: checkEarlyExit at a
 // horizon h below a deadline D ≤ 3000. The seeds are the two cases
