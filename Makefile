@@ -22,8 +22,8 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rtwlint ./...
 
-# Apply every suggested fix rtwlint knows (defer-unlock rewrites,
-# stale-directive deletion); exits non-zero when unfixable findings
+# Apply every suggested fix rtwlint knows (today: deleting stale
+# //rtwlint:ignore directives); exits non-zero when unfixable findings
 # remain. CI runs this and fails if it would produce a diff — fixable
 # findings must not be committed.
 lint-fix:
@@ -55,7 +55,7 @@ bench:
 # converted to JSON at the repo root (committed; see
 # docs/PERFORMANCE.md for the tracked numbers and how to compare).
 bench-json:
-	$(GO) test -run '^$$' -bench '^(BenchmarkTable[1-5]|BenchmarkCalU|BenchmarkHPSetConstruction|BenchmarkSimulator|BenchmarkEventSim|BenchmarkMCReplications|BenchmarkAdmitIncremental|BenchmarkAdmitFull|BenchmarkDaemonLoad|BenchmarkExploreSweep|BenchmarkLintRepo)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkTable[1-5]|BenchmarkCalU|BenchmarkHPSetConstruction|BenchmarkSimulator|BenchmarkEventSim|BenchmarkMCReplications|BenchmarkAdmitIncremental|BenchmarkAdmitFull|BenchmarkExploreSweep|BenchmarkLintRepo)$$' \
 		-benchtime=1x -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_core.json
 
 # Short deterministic load run against a hermetic in-process daemon:

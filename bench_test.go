@@ -761,7 +761,7 @@ func BenchmarkExploreSweep(b *testing.B) {
 
 // ----- rtwlint ---------------------------------------------------------
 
-// BenchmarkLintRepo times one full rtwlint pass — all four tiers,
+// BenchmarkLintRepo times one full rtwlint pass — all three tiers,
 // including the value-range analyzers — over every package of the
 // module. Loading and type-checking happen once outside the loop; each
 // iteration rebuilds the module context (call graph, summaries,

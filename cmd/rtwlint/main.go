@@ -103,9 +103,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Every package of one Load call shares a FileSet, so diagnostics
 	// from different packages sort (and fix) against the same positions.
-	// Packages run in parallel inside one module context: the
-	// interprocedural analyzers build their call graph and summary cache
-	// once (analysis.Module.Shared) and every pass reuses it. Results
+	// Packages run in parallel inside one module context: the call
+	// graph and function summaries are built once
+	// (analysis.Module.Shared) and every pass reuses them. Results
 	// are indexed by package, then merged in package order, so the
 	// output stays byte-identical to a serial run.
 	var fset = tokenFileSet(pkgs)
@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			//rtwlint:ignore unsyncshared each goroutine writes only its own index; wg.Wait orders the reads
+			// Each goroutine writes only its own index; wg.Wait orders the reads.
 			perPkg[i], errs[i] = analysis.RunInModule(pkg, mod, analyzers)
 		}(i, pkg)
 	}

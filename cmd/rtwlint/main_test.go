@@ -24,7 +24,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errb.String())
 	}
-	for _, name := range []string{"unsyncshared", "floateq", "detrand", "errdrop", "directive"} {
+	for _, name := range []string{"floateq", "detrand", "errdrop", "directive", "intoverflow"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
 		}
@@ -247,30 +247,21 @@ func TestSARIFOutput(t *testing.T) {
 }
 
 // TestJSONDeterminism: two full-suite runs over a multi-package module
-// — including an interprocedural lockorder finding whose summaries
-// are computed by parallel per-package passes — must produce
+// — including an intoverflow finding that needs another package's
+// Ranges summary, shared by parallel per-package passes — must produce
 // byte-identical JSON. This pins the merge-in-package-order contract
 // of the parallel driver and the determinism of the summary engine.
 func TestJSONDeterminism(t *testing.T) {
 	chdirRepoRoot(t)
 	seedModule(t, map[string]string{
-		"locks/locks.go": `package locks
+		"caps/caps.go": "package caps\n\nfunc Horizon() int { return 1 << 62 }\n",
+		"sched/sched.go": `package sched
 
-import "sync"
+import "seeded/caps"
 
-type Store struct {
-	Mu sync.Mutex
-	M  map[string]int
-}
-
-func (s *Store) Get(k string) (int, bool) {
-	s.Mu.Lock()
-	v, ok := s.M[k]
-	if !ok {
-		return 0, false
-	}
-	s.Mu.Unlock()
-	return v, ok
+func Span() int {
+	horizon := caps.Horizon()
+	return horizon + horizon
 }
 `,
 		"calc/calc.go": "package calc\n\nfunc Eq(a, b float64) bool { return a == b }\n",
@@ -297,8 +288,8 @@ func (s *Store) Get(k string) (int, bool) {
 	for _, f := range got {
 		byAnalyzer[f.Analyzer]++
 	}
-	if byAnalyzer["lockorder"] == 0 || byAnalyzer["floateq"] == 0 {
-		t.Errorf("want findings from both tiers (lockorder, floateq), got %v", byAnalyzer)
+	if byAnalyzer["intoverflow"] == 0 || byAnalyzer["floateq"] == 0 {
+		t.Errorf("want findings from both tiers (intoverflow, floateq), got %v", byAnalyzer)
 	}
 }
 

@@ -143,7 +143,7 @@ func calUPool(ids []stream.ID, workers int, newCalU func() func(stream.ID) (int,
 					errs <- streamErr{ids[k], err}
 					continue
 				}
-				//rtwlint:ignore unsyncshared us slots are disjoint per job index; wg.Wait orders the reads
+				// us slots are disjoint per job index; wg.Wait orders the reads.
 				us[k] = u
 			}
 		}()

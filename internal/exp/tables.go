@@ -103,7 +103,7 @@ func RunTable(spec TableSpec) (*TableResult, error) {
 		go func() {
 			defer wg.Done()
 			table, err := runTrial(spec, spec.Seed+int64(trial)*7919)
-			//rtwlint:ignore unsyncshared each trial writes only its own slot; wg.Wait orders the reads
+			// Each trial writes only its own slot; wg.Wait orders the reads.
 			results[trial] = trialOut{table, err}
 		}()
 	}

@@ -55,9 +55,9 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Module is the whole-run view shared by every package of one
-	// rtwlint invocation; the interprocedural analyzers read the call
-	// graph and function summaries from it. Never nil: a single-package
-	// run gets a module of one package.
+	// rtwlint invocation; detrand and the value-range tier read the
+	// call graph and function summaries from it. Never nil: a
+	// single-package run gets a module of one package.
 	Module *Module
 
 	// report receives every diagnostic, after suppression filtering.
@@ -68,10 +68,10 @@ type Pass struct {
 
 // Module is the cross-package context of one run: every in-module
 // package being checked, plus a keyed store for state computed once and
-// shared by all per-package passes (the interprocedural tier's call
-// graph and summary engine live here). Shared is safe for concurrent
-// per-package passes: the first caller of a key builds while the others
-// wait, so an expensive module-wide structure is computed exactly once.
+// shared by all per-package passes (the call graph and summary engine
+// live here). Shared is safe for concurrent per-package passes: the
+// first caller of a key builds while the others wait, so an expensive
+// module-wide structure is computed exactly once.
 type Module struct {
 	// Packages is every package of the run, sorted by import path.
 	Packages []*Package
@@ -290,8 +290,8 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // RunInModule is Run with an explicit whole-run module context, so the
-// interprocedural analyzers see every package of the invocation while
-// reporting only on pkg. Safe to call concurrently for different
+// function summaries cover every package of the invocation while the
+// analyzers report only on pkg. Safe to call concurrently for different
 // packages of the same module.
 func RunInModule(pkg *Package, mod *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic

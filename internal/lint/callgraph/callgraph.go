@@ -1,7 +1,6 @@
 // Package callgraph builds a module-local static call graph over the
-// type-checked packages of one rtwlint run, the base layer of the
-// interprocedural analysis tier (see internal/lint/summary for the
-// function-summary engine computed over it).
+// type-checked packages of one rtwlint run, the base of the function
+// summaries in internal/lint/summary.
 //
 // Resolution rules, in order of precision:
 //
@@ -40,10 +39,8 @@ package callgraph
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"repro/internal/lint/analysis"
 )
@@ -73,9 +70,6 @@ type Node struct {
 	// Out holds this function's call sites that resolved to in-module
 	// callees, sorted by (callee key, position).
 	Out []*Edge
-	// In holds the edges whose Callee is this node, sorted like Out is
-	// on the caller side.
-	In []*Edge
 
 	key string
 }
@@ -84,13 +78,8 @@ type Node struct {
 // "pkgpath.(recv).Name" for methods, "pkgpath.Name" for functions.
 func (n *Node) Key() string { return n.key }
 
-// String is the display form used in diagnostics: "(*Controller).Admit"
-// or "admit.Admit" depending on whether the function is a method.
-func (n *Node) String() string { return DisplayName(n.Func) }
-
 // Edge is one resolved call site.
 type Edge struct {
-	Caller *Node
 	Callee *Node
 	Site   *ast.CallExpr
 	Kind   Kind
@@ -102,9 +91,6 @@ type Edge struct {
 	Go    bool
 }
 
-// Pos is the call site's position.
-func (e *Edge) Pos() token.Pos { return e.Site.Pos() }
-
 // Graph is the module-local call graph.
 type Graph struct {
 	// Nodes is every declared function of the module that has a body,
@@ -114,13 +100,8 @@ type Graph struct {
 	byFunc map[*types.Func]*Node
 }
 
-// NodeOf returns the node of fn, or nil when fn has no body in the
-// module (out-of-module, interface method stub, or bodyless decl).
-func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byFunc[fn] }
-
-// FuncKey returns the stable key a node for fn would carry, usable for
-// deterministic sorting of external structures.
-func FuncKey(fn *types.Func) string {
+// funcKey returns the stable key of fn's node.
+func funcKey(fn *types.Func) string {
 	pkg := ""
 	if fn.Pkg() != nil {
 		pkg = fn.Pkg().Path()
@@ -129,26 +110,6 @@ func FuncKey(fn *types.Func) string {
 		return pkg + "." + types.TypeString(recv.Type(), nil) + "." + fn.Name()
 	}
 	return pkg + "." + fn.Name()
-}
-
-// DisplayName is the human form of a function for diagnostics: methods
-// render as "(*T).m" / "T.m", package functions as "pkg.F" (the bare
-// name when the package is ambiguous-free enough — callers prepend
-// package context where needed).
-func DisplayName(fn *types.Func) string {
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			return "(*" + tersely(p.Elem()) + ")." + fn.Name()
-		}
-		return tersely(t) + "." + fn.Name()
-	}
-	return fn.Name()
-}
-
-func tersely(t types.Type) string {
-	s := types.TypeString(t, func(p *types.Package) string { return "" })
-	return strings.TrimPrefix(s, ".")
 }
 
 // Build constructs the call graph over the given packages. Test files
@@ -172,7 +133,7 @@ func Build(pkgs []*analysis.Package) *Graph {
 				if fn == nil {
 					continue
 				}
-				n := &Node{Func: fn, Decl: fd, Pkg: pkg, key: FuncKey(fn)}
+				n := &Node{Func: fn, Decl: fd, Pkg: pkg, key: funcKey(fn)}
 				g.byFunc[fn] = n
 				g.Nodes = append(g.Nodes, n)
 			}
@@ -190,20 +151,6 @@ func Build(pkgs []*analysis.Package) *Graph {
 			a, c := n.Out[i], n.Out[j]
 			if a.Callee.key != c.Callee.key {
 				return a.Callee.key < c.Callee.key
-			}
-			return a.Site.Pos() < c.Site.Pos()
-		})
-	}
-	for _, n := range g.Nodes {
-		for _, e := range n.Out {
-			e.Callee.In = append(e.Callee.In, e)
-		}
-	}
-	for _, n := range g.Nodes {
-		sort.Slice(n.In, func(i, j int) bool {
-			a, c := n.In[i], n.In[j]
-			if a.Caller.key != c.Caller.key {
-				return a.Caller.key < c.Caller.key
 			}
 			return a.Site.Pos() < c.Site.Pos()
 		})
@@ -276,7 +223,7 @@ func (w *edgeWalker) resolve(call *ast.CallExpr) {
 	isDefer, isGo := w.deferGo(call)
 	add := func(callee *Node, kind Kind) {
 		w.node.Out = append(w.node.Out, &Edge{
-			Caller: w.node, Callee: callee, Site: call, Kind: kind,
+			Callee: callee, Site: call, Kind: kind,
 			InLit: w.litDepth > 0, Defer: isDefer, Go: isGo,
 		})
 	}

@@ -1,8 +1,8 @@
 // Package cfg builds per-function control-flow graphs over go/ast so
-// the flow-sensitive rtwlint analyzers (lockorder, nilerr, and the
-// value-range tier) can reason about paths instead of syntax. It is a
-// small, offline stand-in for golang.org/x/tools/go/cfg with one
-// deliberate difference: every function exit — each return statement
+// the flow-sensitive rtwlint analyzers (nilerr and the value-range
+// tier) can reason about paths instead of syntax. It is a small,
+// offline stand-in for golang.org/x/tools/go/cfg with one deliberate
+// difference: every function exit — each return statement
 // and the fall-off end of the body — gets an edge to a single
 // synthetic Exit block, so a forward dataflow analysis reads "the fact
 // on every path out of the function" directly off Exit's input.

@@ -171,8 +171,7 @@ func orderInsensitiveStmt(pass *analysis.Pass, rng *ast.RangeStmt, stmt ast.Stmt
 // whose summary carries the Sorts fact: a helper that accumulates the
 // range variables and sorts before emission keeps the result
 // order-independent even though the collection happens in the callee.
-// This is the false positive the interprocedural tier exists to kill —
-// without the summary the allowlist only recognizes sorting done
+// Without the summary the allowlist only recognizes sorting done
 // inline after the loop.
 func calleeSorts(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if pass.Module == nil {

@@ -1,9 +1,8 @@
 // Package linttest loads multi-package in-memory fixtures for the
-// interprocedural analysis tests (callgraph, summary, lockorder). The
-// analysistest harness loads one package per directory; the tests of
-// the interprocedural tier need several packages importing each other,
-// which this package type-checks together over one shared FileSet —
-// the same layout the real loader produces.
+// callgraph and summary tests. The analysistest harness loads one
+// package per directory; these tests need several packages importing
+// each other, which this package type-checks together over one shared
+// FileSet — the same layout the real loader produces.
 package linttest
 
 import (

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -334,7 +335,7 @@ func (np *nilerrPass) analyze(fn cfg.Func) {
 				p := np.pass.Fset.Position(s.pos)
 				np.pass.Reportf(id.Pos(),
 					"%s is used before checking %s, the error returned by %s at %s:%d (on an error the value is meaningless)",
-					id.Name, s.name, s.callee, shortFile(p.Filename), p.Line)
+					id.Name, s.name, s.callee, filepath.Base(p.Filename), p.Line)
 			})
 		}
 	}

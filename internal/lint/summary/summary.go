@@ -1,126 +1,51 @@
-// Package summary computes per-function facts over the module call
-// graph (internal/lint/callgraph), bottom-up, so interprocedural
-// analyzers can reuse one compositional summary per function at every
-// call site — the same compute-once-reuse-everywhere idea the paper's
-// per-stream HP-set fixpoint applies to feasibility bounds.
+// Package summary computes two facts per function of the module,
+// once per rtwlint run, over the module call graph
+// (internal/lint/callgraph):
 //
-// The facts of one function are:
-//
-//   - Acquires: the lock classes the function may acquire while it
-//     runs, directly or through (non-deferred, non-goroutine, non-
-//     closure) calls, each with one representative call chain to the
-//     acquiring function for diagnostics;
-//   - Releases: the lock classes it may release before returning,
-//     including deferred unlocks (a `defer mu.Unlock()` has released by
-//     the time the caller continues);
-//   - Sorts: whether it calls a sort routine (sort.*, slices.Sort*) —
-//     the detrand analyzer uses this to recognise collect-then-sort
-//     helpers invoked from map-range bodies;
+//   - Sorts: whether the function calls a sort routine (sort.*,
+//     slices.Sort*), directly or through a callee that sorts. The
+//     detrand analyzer uses it to recognise collect-then-sort helpers
+//     invoked from map-range bodies. Calls inside a function literal
+//     (which may never run) and the call a go statement starts do not
+//     count, and a deferred call (which runs only at return) does not
+//     pass its callee's Sorts on.
 //   - Ranges: conservative per-result value intervals for functions
-//     whose return statements yield constant-bounded integers — the
+//     whose return statements yield constant-bounded integers. The
 //     interval tier reads them at call sites so `h := defaultHorizon()`
-//     starts bounded instead of Top. Unlike the lock facts, Ranges is
-//     purely direct (computed from the function's own return
-//     statements, never merged through call edges): propagating callee
-//     ranges through arbitrary arithmetic would need the full interval
-//     transfer machinery, which lives in the tier itself.
+//     starts bounded instead of Top. Ranges is direct: it comes from
+//     the function's own return statements and never flows through
+//     call edges, because propagating callee ranges through arbitrary
+//     arithmetic would need the full interval transfer machinery,
+//     which lives in the tier itself.
 //
-// Summaries are computed per SCC of the package-level condensation of
-// the call graph and cached per package: Invalidate(path) drops only
-// the summaries of that package's SCC and of the SCCs that (transitively)
-// call into it, so re-checking one edited package in a long-lived
-// driver recomputes the minimum. Recursive SCCs iterate to fixpoint;
-// the fact sets are finite (lock classes of the module), so the
-// fixpoint terminates. All iteration orders are key-sorted: two builds
-// over the same packages produce identical summaries, byte for byte.
+// New computes every summary eagerly, Sorts by a boolean fixpoint over
+// the call edges, so recursion converges. The Engine is read-only
+// afterwards: concurrent per-package passes query it without locking.
+// The result does not depend on iteration order.
 package summary
 
 import (
 	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
-	"sort"
-	"strconv"
-	"sync"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/callgraph"
 	"repro/internal/lint/interval"
 )
 
-// maxChain bounds the recorded representative call chain; deeper
-// acquisitions keep their effect with a truncated chain.
-const maxChain = 8
-
-// Mode distinguishes read and write acquisitions of an RWMutex.
-type Mode int
-
-const (
-	Write Mode = iota
-	Read
-)
-
-func (m Mode) String() string {
-	if m == Read {
-		return "R"
-	}
-	return "W"
-}
-
-// LockOp is one (R)Lock/(R)Unlock call resolved to a lock instance and
-// class with module-stable string identities.
-type LockOp struct {
-	// InstKey identifies the lock instance within one function frame
-	// (the selector path's object chain); InstName is its display form
-	// ("c.mu").
-	InstKey, InstName string
-	// ClassKey identifies the declared field or variable module-wide
-	// ("repro/internal/admit.Controller.mu"); ClassName is the
-	// diagnostic form ("admit.Controller.mu").
-	ClassKey, ClassName string
-	Mode                Mode
-	Acquire             bool
-	Pos                 token.Pos
-}
-
-// ChainStep is one hop of a representative acquisition chain: the
-// callee's display name and the call site.
-type ChainStep struct {
-	Name string
-	Pos  token.Pos
-}
-
-// LockEffect is one "may acquire" fact: the class, the mode, and one
-// representative (shortest, then lexicographically first) call chain
-// from the summarized function to the acquiring one — empty for direct
-// acquisitions.
-type LockEffect struct {
-	ClassKey  string
-	ClassName string
-	Mode      Mode
-	Chain     []ChainStep
-	Pos       token.Pos // the eventual Lock/RLock call
-}
-
 // FuncFacts is the summary of one function.
 type FuncFacts struct {
-	// Acquires, sorted by (ClassKey, Mode), one effect per pair.
-	Acquires []LockEffect
-	// Releases is the sorted set of class keys the function may release
-	// (including deferred releases, which have run by return).
-	Releases []string
-	// Sorts reports a call to a sorting routine somewhere in the
-	// function (transitively through non-goroutine calls).
+	// Sorts reports a call to a sorting routine in the function or,
+	// transitively, in a callee it runs before returning (see the
+	// package doc for which calls count).
 	Sorts bool
 	// Ranges, when non-nil, holds one conservative interval per result
 	// of the function: the union over every return statement of the
 	// result expression's constant value, Top for results no return
 	// bounds. Nil when the function has no results, uses naked or
-	// tuple-call returns, or bounds none of its results. Direct-only:
-	// mergeCall never touches it (see the package doc).
+	// tuple-call returns, or bounds none of its results.
 	Ranges []interval.Interval
 }
 
@@ -134,381 +59,58 @@ func (f *FuncFacts) ResultRange(i int) (interval.Interval, bool) {
 	return r, !r.IsTop()
 }
 
-// ReleasesClass reports whether the summary may release the class.
-func (f *FuncFacts) ReleasesClass(classKey string) bool {
-	if f == nil {
-		return false
-	}
-	i := sort.SearchStrings(f.Releases, classKey)
-	return i < len(f.Releases) && f.Releases[i] == classKey
-}
-
-// Engine owns the call graph and the per-package summary cache.
+// Engine holds the call graph and the summary of every function in it.
 type Engine struct {
 	Graph *callgraph.Graph
-	fset  *token.FileSet
-
-	mu    sync.Mutex
 	facts map[*types.Func]*FuncFacts
-	done  map[int]bool // group id -> summaries computed
-
-	groupOf   map[string]int // pkg path -> group id
-	groupPkgs [][]string     // group id -> sorted member paths
-	groupDeps [][]int        // group id -> callee group ids (sorted)
-	nodesBy   map[string][]*callgraph.Node
-
-	// Recomputes counts, per package path, how many times its
-	// summaries were (re)computed — observability for the cache tests.
-	Recomputes map[string]int
 }
 
-// New builds the call graph over the packages and prepares (but does
-// not yet compute) the summary cache. fset must be the shared FileSet
-// the packages were loaded into.
+// New builds the call graph over the packages and computes every
+// summary.
 func New(pkgs []*analysis.Package) *Engine {
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
+	g := callgraph.Build(pkgs)
+	e := &Engine{Graph: g, facts: make(map[*types.Func]*FuncFacts, len(g.Nodes))}
+	for _, n := range g.Nodes {
+		e.facts[n.Func] = &FuncFacts{
+			Sorts:  sortsDirectly(n.Pkg.Info, n.Decl.Body),
+			Ranges: resultRanges(n.Pkg.Info, n.Decl),
+		}
 	}
-	e := &Engine{
-		Graph:      callgraph.Build(pkgs),
-		fset:       fset,
-		facts:      map[*types.Func]*FuncFacts{},
-		done:       map[int]bool{},
-		Recomputes: map[string]int{},
-		nodesBy:    map[string][]*callgraph.Node{},
+	// Sorts only ever turns from false to true, so the fixpoint ends,
+	// recursive cycles included.
+	for changed := true; changed; {
+		changed = false
+		for _, n := range g.Nodes {
+			f := e.facts[n.Func]
+			for _, edge := range n.Out {
+				if !f.Sorts && !edge.Go && !edge.Defer && !edge.InLit && e.facts[edge.Callee.Func].Sorts {
+					f.Sorts, changed = true, true
+				}
+			}
+		}
 	}
-	for _, n := range e.Graph.Nodes {
-		e.nodesBy[n.Pkg.Path] = append(e.nodesBy[n.Pkg.Path], n)
-	}
-	e.condense()
 	return e
 }
 
-// Func returns the summary of fn, computing its package group (and any
-// callee groups) on first use. Nil when fn has no body in the module.
-func (e *Engine) Func(fn *types.Func) *FuncFacts {
-	n := e.Graph.NodeOf(fn)
-	if n == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ensure(e.groupOf[n.Pkg.Path])
-	return e.facts[fn]
-}
+// Func returns the summary of fn, nil when fn has no body in the
+// module.
+func (e *Engine) Func(fn *types.Func) *FuncFacts { return e.facts[fn] }
 
-// ComputeAll materializes every summary (callers that want the full
-// module computed up front, e.g. before a parallel analyzer fan-out).
-func (e *Engine) ComputeAll() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for g := range e.groupPkgs {
-		e.ensure(g)
-	}
-}
-
-// Invalidate drops the cached summaries of the package's SCC group and
-// of every group that transitively calls into it; the next Func access
-// recomputes only those. Packages whose summaries the edit cannot have
-// changed keep their cache.
-func (e *Engine) Invalidate(pkgPath string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	target, ok := e.groupOf[pkgPath]
-	if !ok {
-		return
-	}
-	// dependsOn[g] = true when g (transitively) calls into target.
-	dirty := map[int]bool{target: true}
-	for changed := true; changed; {
-		changed = false
-		for g, deps := range e.groupDeps {
-			if dirty[g] {
-				continue
-			}
-			for _, d := range deps {
-				if dirty[d] {
-					dirty[g] = true
-					changed = true
-					break
-				}
-			}
+// sortsDirectly reports a sort call in body itself, outside function
+// literals and go statements. Skipping a go statement's operands too
+// can only miss a sort, which makes detrand report, never stay silent.
+func sortsDirectly(info *types.Info, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt:
+			return false
+		case *ast.CallExpr:
+			found = found || isSortCall(info, n)
 		}
-	}
-	for g := range dirty {
-		if !e.done[g] {
-			continue
-		}
-		e.done[g] = false
-		for _, path := range e.groupPkgs[g] {
-			for _, n := range e.nodesBy[path] {
-				delete(e.facts, n.Func)
-			}
-		}
-	}
-}
-
-// condense builds the package-level SCC condensation of the call
-// graph: groupOf, groupPkgs (sorted members), groupDeps (sorted callee
-// groups). Interface dispatch can point against the import direction,
-// so package-level cycles are possible and land in one group.
-func (e *Engine) condense() {
-	// Package-level edges from call edges.
-	paths := make([]string, 0, len(e.nodesBy))
-	for p := range e.nodesBy {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	deps := map[string]map[string]bool{}
-	for _, p := range paths {
-		deps[p] = map[string]bool{}
-	}
-	for _, n := range e.Graph.Nodes {
-		for _, edge := range n.Out {
-			cp := edge.Callee.Pkg.Path
-			if cp != n.Pkg.Path {
-				deps[n.Pkg.Path][cp] = true
-			}
-		}
-	}
-
-	// Tarjan over the package graph, deterministic via sorted orders.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	e.groupOf = map[string]int{}
-	var strongconnect func(p string)
-	strongconnect = func(p string) {
-		index[p] = next
-		low[p] = next
-		next++
-		stack = append(stack, p)
-		onStack[p] = true
-		succ := make([]string, 0, len(deps[p]))
-		for d := range deps[p] {
-			succ = append(succ, d)
-		}
-		sort.Strings(succ)
-		for _, d := range succ {
-			if _, seen := index[d]; !seen {
-				strongconnect(d)
-				if low[d] < low[p] {
-					low[p] = low[d]
-				}
-			} else if onStack[d] && index[d] < low[p] {
-				low[p] = index[d]
-			}
-		}
-		if low[p] == index[p] {
-			gid := len(e.groupPkgs)
-			var members []string
-			for {
-				m := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[m] = false
-				e.groupOf[m] = gid
-				members = append(members, m)
-				if m == p {
-					break
-				}
-			}
-			sort.Strings(members)
-			e.groupPkgs = append(e.groupPkgs, members)
-		}
-	}
-	for _, p := range paths {
-		if _, seen := index[p]; !seen {
-			strongconnect(p)
-		}
-	}
-
-	e.groupDeps = make([][]int, len(e.groupPkgs))
-	for g, members := range e.groupPkgs {
-		set := map[int]bool{}
-		for _, p := range members {
-			for d := range deps[p] {
-				if dg := e.groupOf[d]; dg != g {
-					set[dg] = true
-				}
-			}
-		}
-		ds := make([]int, 0, len(set))
-		for d := range set {
-			ds = append(ds, d)
-		}
-		sort.Ints(ds)
-		e.groupDeps[g] = ds
-	}
-}
-
-// ensure computes (under e.mu) the summaries of group g, its callee
-// groups first.
-func (e *Engine) ensure(g int) {
-	if e.done[g] {
-		return
-	}
-	for _, d := range e.groupDeps[g] {
-		e.ensure(d)
-	}
-
-	// The group's functions in key order.
-	var nodes []*callgraph.Node
-	for _, p := range e.groupPkgs[g] {
-		nodes = append(nodes, e.nodesBy[p]...)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Key() < nodes[j].Key() })
-
-	inGroup := map[*types.Func]bool{}
-	for _, n := range nodes {
-		inGroup[n.Func] = true
-	}
-
-	// Seed with direct facts, then iterate callee propagation to
-	// fixpoint (recursive SCCs stabilize because the class sets are
-	// finite and chains only shorten).
-	cur := map[*types.Func]*FuncFacts{}
-	for _, n := range nodes {
-		cur[n.Func] = e.direct(n)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			f := cur[n.Func]
-			before := factsKey(f)
-			for _, edge := range n.Out {
-				var callee *FuncFacts
-				if inGroup[edge.Callee.Func] {
-					callee = cur[edge.Callee.Func]
-				} else {
-					callee = e.facts[edge.Callee.Func]
-				}
-				if callee == nil {
-					continue
-				}
-				mergeCall(f, edge, callee)
-			}
-			normalize(f)
-			if factsKey(f) != before {
-				changed = true
-			}
-		}
-	}
-	for _, n := range nodes {
-		e.facts[n.Func] = cur[n.Func]
-	}
-	for _, p := range e.groupPkgs[g] {
-		e.Recomputes[p]++
-	}
-	e.done[g] = true
-}
-
-// mergeCall folds one call edge's callee facts into the caller's.
-func mergeCall(f *FuncFacts, edge *callgraph.Edge, callee *FuncFacts) {
-	if edge.Go {
-		return // a spawned goroutine's effects are not "during f"
-	}
-	if !edge.Defer && !edge.InLit {
-		for _, eff := range callee.Acquires {
-			chain := make([]ChainStep, 0, len(eff.Chain)+1)
-			chain = append(chain, ChainStep{Name: callgraph.DisplayName(edge.Callee.Func), Pos: edge.Pos()})
-			chain = append(chain, eff.Chain...)
-			if len(chain) > maxChain {
-				chain = chain[:maxChain]
-			}
-			f.Acquires = append(f.Acquires, LockEffect{
-				ClassKey: eff.ClassKey, ClassName: eff.ClassName,
-				Mode: eff.Mode, Chain: chain, Pos: eff.Pos,
-			})
-		}
-		f.Sorts = f.Sorts || callee.Sorts
-	}
-	if !edge.InLit { // deferred calls have released by return
-		f.Releases = append(f.Releases, callee.Releases...)
-	}
-}
-
-// direct computes the non-transitive facts of one function body.
-func (e *Engine) direct(n *callgraph.Node) *FuncFacts {
-	f := &FuncFacts{}
-	info := n.Pkg.Info
-	pkg := n.Pkg.Pkg
-
-	type frame struct {
-		lit      *ast.FuncLit
-		deferred bool
-	}
-	var lits []frame
-	var stack []ast.Node
-	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
-		if nd == nil {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if lit, ok := top.(*ast.FuncLit); ok && len(lits) > 0 && lits[len(lits)-1].lit == lit {
-				lits = lits[:len(lits)-1]
-			}
-			return true
-		}
-		stack = append(stack, nd)
-		if lit, ok := nd.(*ast.FuncLit); ok {
-			deferred := false
-			if len(stack) >= 3 {
-				if ds, ok := stack[len(stack)-3].(*ast.DeferStmt); ok && ds.Call.Fun == lit {
-					deferred = true
-				}
-			}
-			lits = append(lits, frame{lit: lit, deferred: deferred})
-		}
-		call, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		isDefer, isGo := false, false
-		if len(stack) >= 2 {
-			switch parent := stack[len(stack)-2].(type) {
-			case *ast.DeferStmt:
-				isDefer = parent.Call == call
-			case *ast.GoStmt:
-				isGo = parent.Call == call
-			}
-		}
-		inGo := isGo // calls lexically under a go statement's operand
-		litDepth := len(lits)
-		// Inside a closure: effects only count when every enclosing
-		// literal is a directly deferred one (runs at return).
-		allDeferredLits := true
-		for _, fr := range lits {
-			if !fr.deferred {
-				allDeferredLits = false
-			}
-		}
-
-		if op, ok := ResolveLockOp(info, pkg, call); ok {
-			switch {
-			case op.Acquire:
-				if litDepth == 0 && !isDefer && !inGo {
-					f.Acquires = append(f.Acquires, LockEffect{
-						ClassKey: op.ClassKey, ClassName: op.ClassName,
-						Mode: op.Mode, Pos: op.Pos,
-					})
-				}
-			default: // release
-				if !inGo && (litDepth == 0 || allDeferredLits) {
-					f.Releases = append(f.Releases, op.ClassKey)
-				}
-			}
-			return true
-		}
-		if litDepth == 0 && !inGo && isSortCall(info, call) {
-			f.Sorts = true
-		}
-		return true
+		return !found
 	})
-	f.Ranges = resultRanges(info, n.Decl)
-	normalize(f)
-	return f
+	return found
 }
 
 // resultRanges computes the direct Ranges fact of one declared
@@ -588,117 +190,24 @@ func constInterval(info *types.Info, expr ast.Expr) interval.Interval {
 	return interval.Top() // out of int64 range (big untyped / uint64)
 }
 
-// normalize dedups Acquires per (class, mode) keeping the shortest
-// (then lexicographically first) chain, and sorts Releases.
-func normalize(f *FuncFacts) {
-	best := map[string]LockEffect{}
-	for _, eff := range f.Acquires {
-		k := eff.ClassKey + "\x00" + strconv.Itoa(int(eff.Mode))
-		cur, ok := best[k]
-		if !ok || betterChain(eff, cur) {
-			best[k] = eff
-		}
-	}
-	keys := make([]string, 0, len(best))
-	for k := range best {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	f.Acquires = f.Acquires[:0]
-	for _, k := range keys {
-		f.Acquires = append(f.Acquires, best[k])
-	}
-
-	sort.Strings(f.Releases)
-	f.Releases = dedupSorted(f.Releases)
-}
-
-func betterChain(a, b LockEffect) bool {
-	if len(a.Chain) != len(b.Chain) {
-		return len(a.Chain) < len(b.Chain)
-	}
-	return chainNames(a.Chain) < chainNames(b.Chain)
-}
-
-func chainNames(c []ChainStep) string {
-	s := ""
-	for _, step := range c {
-		s += step.Name + "\x00"
-	}
-	return s
-}
-
-func dedupSorted(xs []string) []string {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || xs[i-1] != x {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// factsKey serializes facts for fixpoint equality checks.
-func factsKey(f *FuncFacts) string {
-	b, _ := json.Marshal(f)
-	s := string(b)
-	if f.Sorts {
-		s += "+sorts"
-	}
-	return s
-}
-
-// Dump renders every computed summary as deterministic, indented JSON
-// keyed by function key — the fixture the determinism tests compare
-// byte for byte. Positions render as file:line so the dump is stable
-// across FileSet layouts.
+// Dump renders every summary as deterministic, indented JSON keyed by
+// function key.
 func (e *Engine) Dump() []byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for g := range e.groupPkgs {
-		e.ensure(g)
-	}
-	type effJSON struct {
-		Class string   `json:"class"`
-		Mode  string   `json:"mode"`
-		Chain []string `json:"chain,omitempty"`
-		At    string   `json:"at"`
-	}
 	type factsJSON struct {
-		Acquires []effJSON `json:"acquires,omitempty"`
-		Releases []string  `json:"releases,omitempty"`
-		Sorts    bool      `json:"sorts,omitempty"`
-		Ranges   []string  `json:"ranges,omitempty"`
+		Sorts  bool     `json:"sorts,omitempty"`
+		Ranges []string `json:"ranges,omitempty"`
 	}
 	out := map[string]factsJSON{}
 	for _, n := range e.Graph.Nodes {
 		f := e.facts[n.Func]
-		if f == nil {
-			continue
-		}
-		fj := factsJSON{Releases: f.Releases, Sorts: f.Sorts}
+		fj := factsJSON{Sorts: f.Sorts}
 		for _, r := range f.Ranges {
 			fj.Ranges = append(fj.Ranges, r.String())
-		}
-		for _, eff := range f.Acquires {
-			ej := effJSON{Class: eff.ClassKey, Mode: eff.Mode.String(), At: e.posString(eff.Pos)}
-			for _, step := range eff.Chain {
-				ej.Chain = append(ej.Chain, step.Name+"@"+e.posString(step.Pos))
-			}
-			fj.Acquires = append(fj.Acquires, ej)
 		}
 		out[n.Key()] = fj
 	}
 	b, _ := json.MarshalIndent(out, "", "  ")
 	return append(b, '\n')
-}
-
-func (e *Engine) posString(p token.Pos) string {
-	if e.fset == nil || !p.IsValid() {
-		return "-"
-	}
-	pos := e.fset.Position(p)
-	return fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
 }
 
 // sortFuncs lists the order-normalizing functions of package sort;
@@ -725,145 +234,4 @@ func isSortCall(info *types.Info, call *ast.CallExpr) bool {
 		return len(fn.Name()) >= 4 && fn.Name()[:4] == "Sort"
 	}
 	return false
-}
-
-// ResolveLockOp recognises call as a (R)Lock/(R)Unlock on a sync.Mutex
-// or sync.RWMutex reachable through a selector path of identifiers and
-// returns it with module-stable instance and class identities. pkg is
-// the package the call site belongs to (for local-variable keys).
-func ResolveLockOp(info *types.Info, pkg *types.Package, call *ast.CallExpr) (LockOp, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return LockOp{}, false
-	}
-	var mode Mode
-	var acquire bool
-	switch sel.Sel.Name {
-	case "Lock":
-		mode, acquire = Write, true
-	case "Unlock":
-		mode, acquire = Write, false
-	case "RLock":
-		mode, acquire = Read, true
-	case "RUnlock":
-		mode, acquire = Read, false
-	default:
-		return LockOp{}, false
-	}
-	selection, ok := info.Selections[sel]
-	if !ok {
-		return LockOp{}, false
-	}
-	fn, ok := selection.Obj().(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return LockOp{}, false
-	}
-	op, ok := resolveLockPath(info, pkg, sel.X)
-	if !ok {
-		return LockOp{}, false
-	}
-	op.Mode = mode
-	op.Acquire = acquire
-	op.Pos = call.Pos()
-	return op, true
-}
-
-// resolveLockPath walks a selector chain (`mu`, `c.mu`, `s.inner.mu`,
-// `pkgvar.mu`) down to its root, producing instance and class
-// identities. Unkeyable roots (map index, call result) fail.
-func resolveLockPath(info *types.Info, pkg *types.Package, e ast.Expr) (LockOp, bool) {
-	var objs []types.Object
-	var parts []string
-	var recvType types.Type
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			obj := info.Uses[x]
-			if obj == nil {
-				obj = info.Defs[x]
-			}
-			if _, ok := obj.(*types.Var); !ok {
-				return LockOp{}, false
-			}
-			objs = append(objs, obj)
-			parts = append(parts, x.Name)
-			return finishLockPath(pkg, objs, parts, recvType)
-		case *ast.SelectorExpr:
-			if selection, ok := info.Selections[x]; ok {
-				field, ok := selection.Obj().(*types.Var)
-				if !ok {
-					return LockOp{}, false
-				}
-				objs = append(objs, field)
-				parts = append(parts, x.Sel.Name)
-				if recvType == nil {
-					recvType = info.Types[x.X].Type
-				}
-				e = x.X
-				continue
-			}
-			if v, ok := info.Uses[x.Sel].(*types.Var); ok {
-				objs = append(objs, v)
-				parts = append(parts, x.Sel.Name)
-				return finishLockPath(pkg, objs, parts, recvType)
-			}
-			return LockOp{}, false
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return LockOp{}, false
-		}
-	}
-}
-
-// finishLockPath builds the identities from the leaf-to-root chain.
-// The class is the declared field or variable: for fields it is keyed
-// by the enclosing named type ("pkgpath.Type.field"), for package vars
-// by the package ("pkgpath.name"), for locals by declaration position.
-func finishLockPath(pkg *types.Package, objs []types.Object, parts []string, recvType types.Type) (LockOp, bool) {
-	var op LockOp
-	instKey := ""
-	instName := ""
-	for i := len(objs) - 1; i >= 0; i-- {
-		instKey += strconv.Itoa(int(objs[i].Pos())) + "/"
-		if instName != "" {
-			instName += "."
-		}
-		instName += parts[i]
-	}
-	op.InstKey = instKey
-	op.InstName = instName
-
-	leaf := objs[0]
-	leafVar, _ := leaf.(*types.Var)
-	switch {
-	case leafVar != nil && leafVar.IsField() && recvType != nil:
-		t := recvType
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		ownerPath, ownerName := "", types.TypeString(t, func(p *types.Package) string { return "" })
-		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-			ownerPath = named.Obj().Pkg().Path()
-			ownerName = named.Obj().Name()
-			op.ClassName = named.Obj().Pkg().Name() + "." + ownerName + "." + parts[0]
-		} else {
-			op.ClassName = ownerName + "." + parts[0]
-		}
-		op.ClassKey = ownerPath + "." + ownerName + "." + parts[0]
-	case leaf.Pkg() != nil && leaf.Parent() == leaf.Pkg().Scope():
-		// Package-level variable.
-		op.ClassKey = leaf.Pkg().Path() + "." + leaf.Name()
-		op.ClassName = leaf.Pkg().Name() + "." + leaf.Name()
-	default:
-		// Function-local mutex: class scoped by declaration position,
-		// stable for one load layout.
-		path := ""
-		if pkg != nil {
-			path = pkg.Path()
-		}
-		op.ClassKey = "local:" + path + "." + leaf.Name() + "@" + strconv.Itoa(int(leaf.Pos()))
-		op.ClassName = leaf.Name()
-	}
-	return op, true
 }

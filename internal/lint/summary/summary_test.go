@@ -10,8 +10,7 @@ import (
 	"repro/internal/lint/linttest"
 )
 
-// engineOver loads the fixture set and builds an engine (summaries not
-// yet computed).
+// engineOver loads the fixture set and builds an engine.
 func engineOver(t *testing.T, pkgs map[string]map[string]string) *Engine {
 	t.Helper()
 	return New(linttest.LoadPackages(t, pkgs))
@@ -29,289 +28,183 @@ func funcNamed(t *testing.T, e *Engine, suffix string) *types.Func {
 	return nil
 }
 
-func classNames(effs []LockEffect) []string {
-	out := make([]string, len(effs))
-	for i, e := range effs {
-		out[i] = e.ClassKey + "/" + e.Mode.String()
-	}
-	return out
-}
-
-func TestDirectAndTransitiveAcquires(t *testing.T) {
-	e := engineOver(t, map[string]map[string]string{
-		"fix/s": {"s.go": `package s
-
-import "sync"
-
-var muA, muB sync.Mutex
-
-func LockA() {
-	muA.Lock()
-	muA.Unlock()
-}
-
-func Outer() { LockA() }
-
-func Deep() { Outer() }
-`},
-	})
-	lockA := e.Func(funcNamed(t, e, ".LockA"))
-	if got := classNames(lockA.Acquires); len(got) != 1 || got[0] != "fix/s.muA/W" {
-		t.Fatalf("LockA.Acquires = %v, want [fix/s.muA/W]", got)
-	}
-	if len(lockA.Acquires[0].Chain) != 0 {
-		t.Errorf("direct acquire has chain %v, want empty", lockA.Acquires[0].Chain)
-	}
-	if !lockA.ReleasesClass("fix/s.muA") {
-		t.Errorf("LockA does not release fix/s.muA: %v", lockA.Releases)
-	}
-
-	outer := e.Func(funcNamed(t, e, ".Outer"))
-	if got := classNames(outer.Acquires); len(got) != 1 || got[0] != "fix/s.muA/W" {
-		t.Fatalf("Outer.Acquires = %v", got)
-	}
-	if chain := outer.Acquires[0].Chain; len(chain) != 1 || chain[0].Name != "LockA" {
-		t.Errorf("Outer chain = %v, want [LockA]", chain)
-	}
-
-	deep := e.Func(funcNamed(t, e, ".Deep"))
-	if chain := deep.Acquires[0].Chain; len(chain) != 2 || chain[0].Name != "Outer" || chain[1].Name != "LockA" {
-		t.Errorf("Deep chain = %v, want [Outer LockA]", chain)
-	}
-}
-
-func TestGoroutineAndClosureEffectsExcluded(t *testing.T) {
-	e := engineOver(t, map[string]map[string]string{
-		"fix/g": {"g.go": `package g
-
-import "sync"
-
-var mu sync.Mutex
-
-func locks() {
-	mu.Lock()
-	mu.Unlock()
-}
-
-func Spawner() { go locks() }
-
-func Closure() {
-	f := func() { locks() }
-	_ = f
-}
-
-func DeferredUnlock() {
-	mu.Lock()
-	defer mu.Unlock()
-}
-`},
-	})
-	if f := e.Func(funcNamed(t, e, ".Spawner")); len(f.Acquires) != 0 || len(f.Releases) != 0 {
-		t.Errorf("goroutine effects leaked into Spawner: %+v", f)
-	}
-	if f := e.Func(funcNamed(t, e, ".Closure")); len(f.Acquires) != 0 {
-		t.Errorf("un-invoked closure effects leaked into Closure: %+v", f)
-	}
-	du := e.Func(funcNamed(t, e, ".DeferredUnlock"))
-	if !du.ReleasesClass("fix/g.mu") {
-		t.Errorf("deferred Unlock not counted as release: %v", du.Releases)
-	}
-	if len(du.Acquires) != 1 {
-		t.Errorf("DeferredUnlock.Acquires = %v", du.Acquires)
-	}
-}
-
-func TestRWModesAndSorts(t *testing.T) {
-	e := engineOver(t, map[string]map[string]string{
-		"fix/r": {"r.go": `package r
-
-import (
-	"sort"
-	"sync"
-)
-
-var rw sync.RWMutex
-
-func Reader() []int {
-	rw.RLock()
-	defer rw.RUnlock()
-	return nil
-}
-
-func SortsViaHelper(xs []int) { normalize(xs) }
-
-func normalize(xs []int) { sort.Ints(xs) }
-`},
-	})
-	r := e.Func(funcNamed(t, e, ".Reader"))
-	if got := classNames(r.Acquires); len(got) != 1 || got[0] != "fix/r.rw/R" {
-		t.Errorf("Reader.Acquires = %v, want read mode", got)
-	}
-	if f := e.Func(funcNamed(t, e, ".normalize")); !f.Sorts {
-		t.Errorf("normalize.Sorts = false")
-	}
-	if f := e.Func(funcNamed(t, e, ".SortsViaHelper")); !f.Sorts {
-		t.Errorf("Sorts fact did not propagate through the call")
-	}
-}
-
-func TestRecursiveSCCFixpoint(t *testing.T) {
-	e := engineOver(t, map[string]map[string]string{
-		"fix/rec": {"rec.go": `package rec
-
-import "sync"
-
-var mu sync.Mutex
-
-func Ping(n int) {
-	if n > 0 {
-		Pong(n - 1)
-	}
-	mu.Lock()
-	mu.Unlock()
-}
-
-func Pong(n int) {
-	if n > 0 {
-		Ping(n - 1)
-	}
-}
-`},
-	})
-	for _, name := range []string{".Ping", ".Pong"} {
-		f := e.Func(funcNamed(t, e, name))
-		if got := classNames(f.Acquires); len(got) != 1 || got[0] != "fix/rec.mu/W" {
-			t.Errorf("%s.Acquires = %v, want [fix/rec.mu/W]", name, got)
+// checkSorts asserts the Sorts fact of each named function.
+func checkSorts(t *testing.T, e *Engine, want map[string]bool) {
+	t.Helper()
+	for name, sorts := range want {
+		if got := e.Func(funcNamed(t, e, name)).Sorts; got != sorts {
+			t.Errorf("%s.Sorts = %v, want %v", name, got, sorts)
 		}
 	}
 }
 
-func TestFieldClassKeys(t *testing.T) {
+func TestDirectAndTransitiveSorts(t *testing.T) {
 	e := engineOver(t, map[string]map[string]string{
-		"fix/f": {"f.go": `package f
+		"fix/s": {"s.go": `package s
 
-import "sync"
+import (
+	"slices"
+	"sort"
+)
 
-type Ctl struct {
-	mu sync.Mutex
+func normalize(xs []int) { sort.Ints(xs) }
+
+func viaSlices(xs []int) { slices.Sort(xs) }
+
+func Outer(xs []int) { normalize(xs) }
+
+func Deep(xs []int) { Outer(xs) }
+
+func plain(xs []int) int { return len(xs) }
+
+func CallsPlain(xs []int) int { return plain(xs) }
+`},
+	})
+	checkSorts(t, e, map[string]bool{
+		".normalize": true, ".viaSlices": true, ".Outer": true, ".Deep": true,
+		".plain": false, ".CallsPlain": false,
+	})
 }
 
-func (c *Ctl) Commit() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// TestGoroutineAndClosureEffectsExcluded: a sort that runs on another
+// goroutine, after return, or in a closure that may never run does not
+// make the caller Sorts. A helper called in a go statement's operands
+// runs on the caller's goroutine, so its Sorts still counts.
+func TestGoroutineAndClosureEffectsExcluded(t *testing.T) {
+	e := engineOver(t, map[string]map[string]string{
+		"fix/g": {"g.go": `package g
+
+import "sort"
+
+func normalize(xs []int) { sort.Ints(xs) }
+
+func sorted(xs []int) []int {
+	sort.Ints(xs)
+	return xs
+}
+
+func use([]int) {}
+
+func Spawner(xs []int) { go normalize(xs) }
+
+func SpawnsSort(xs []int) { go sort.Ints(xs) }
+
+func Closure(xs []int) {
+	f := func() { normalize(xs) }
+	_ = f
+}
+
+func ClosureSorts(xs []int) {
+	f := func() { sort.Ints(xs) }
+	_ = f
+}
+
+func Deferred(xs []int) { defer normalize(xs) }
+
+func SpawnOperand(xs []int) { go use(sorted(xs)) }
+`},
+	})
+	checkSorts(t, e, map[string]bool{
+		".Spawner": false, ".SpawnsSort": false, ".Closure": false,
+		".ClosureSorts": false, ".Deferred": false, ".SpawnOperand": true,
+	})
+}
+
+// TestRecursiveSCCFixpoint: Sorts reaches every member of a recursive
+// cycle that sorts, and a cycle that never sorts stays false.
+func TestRecursiveSCCFixpoint(t *testing.T) {
+	e := engineOver(t, map[string]map[string]string{
+		"fix/rec": {"rec.go": `package rec
+
+import "sort"
+
+func Ping(xs []int, n int) {
+	if n > 0 {
+		Pong(xs, n-1)
+	}
+	sort.Ints(xs)
+}
+
+func Pong(xs []int, n int) {
+	if n > 0 {
+		Ping(xs, n-1)
+	}
+}
+
+func Even(n int) bool {
+	if n == 0 {
+		return true
+	}
+	return Odd(n - 1)
+}
+
+func Odd(n int) bool {
+	if n == 0 {
+		return false
+	}
+	return Even(n - 1)
 }
 `},
 	})
-	f := e.Func(funcNamed(t, e, ".Commit"))
-	if len(f.Acquires) != 1 {
-		t.Fatalf("Commit.Acquires = %v", f.Acquires)
-	}
-	eff := f.Acquires[0]
-	if eff.ClassKey != "fix/f.Ctl.mu" {
-		t.Errorf("field class key = %q, want fix/f.Ctl.mu", eff.ClassKey)
-	}
-	if eff.ClassName != "f.Ctl.mu" {
-		t.Errorf("field class name = %q, want f.Ctl.mu", eff.ClassName)
-	}
+	checkSorts(t, e, map[string]bool{".Ping": true, ".Pong": true, ".Even": false, ".Odd": false})
 }
 
-// cacheFixture is a three-package chain a -> b -> c, each layer calling
-// down, used by the invalidation tests.
-func cacheFixture() map[string]map[string]string {
+// chainFixture is a three-package chain a -> b -> c whose leaf sorts.
+func chainFixture() map[string]map[string]string {
 	return map[string]map[string]string{
 		"fix/c": {"c.go": `package c
 
-import "sync"
+import "sort"
 
-var Mu sync.Mutex
-
-func Leaf() {
-	Mu.Lock()
-	Mu.Unlock()
-}
+func Leaf(xs []string) { sort.Strings(xs) }
 `},
 		"fix/b": {"b.go": `package b
 
 import "fix/c"
 
-func Mid() { c.Leaf() }
+func Mid(xs []string) { c.Leaf(xs) }
 `},
 		"fix/a": {"a.go": `package a
 
 import "fix/b"
 
-func Top() { b.Mid() }
+func Top(xs []string) { b.Mid(xs) }
+
+func Idle() {}
 `},
 	}
 }
 
-func TestCacheInvalidationRecomputesOnlyDependents(t *testing.T) {
-	e := engineOver(t, cacheFixture())
-	e.ComputeAll()
-	for _, p := range []string{"fix/a", "fix/b", "fix/c"} {
-		if e.Recomputes[p] != 1 {
-			t.Fatalf("after first compute, Recomputes[%s] = %d, want 1", p, e.Recomputes[p])
-		}
-	}
-
-	// Editing b invalidates b and its caller a; the leaf package c must
-	// keep its cached summaries.
-	e.Invalidate("fix/b")
-	e.ComputeAll()
-	want := map[string]int{"fix/a": 2, "fix/b": 2, "fix/c": 1}
-	for p, n := range want {
-		if e.Recomputes[p] != n {
-			t.Errorf("after Invalidate(b), Recomputes[%s] = %d, want %d", p, e.Recomputes[p], n)
-		}
-	}
-
-	// Top's chain survives the recompute intact.
-	top := e.Func(funcNamed(t, e, "fix/a.Top"))
-	if len(top.Acquires) != 1 || len(top.Acquires[0].Chain) != 2 {
-		t.Fatalf("Top.Acquires after recompute = %+v", top.Acquires)
-	}
-
-	// Invalidating the root recomputes only the root.
-	e.Invalidate("fix/a")
-	e.ComputeAll()
-	want = map[string]int{"fix/a": 3, "fix/b": 2, "fix/c": 1}
-	for p, n := range want {
-		if e.Recomputes[p] != n {
-			t.Errorf("after Invalidate(a), Recomputes[%s] = %d, want %d", p, e.Recomputes[p], n)
-		}
-	}
-
-	// Unknown package: no-op.
-	e.Invalidate("fix/nope")
-	e.ComputeAll()
-	if e.Recomputes["fix/a"] != 3 {
-		t.Errorf("Invalidate of unknown package caused recompute")
-	}
+func TestSortsAcrossPackages(t *testing.T) {
+	e := engineOver(t, chainFixture())
+	checkSorts(t, e, map[string]bool{
+		"fix/c.Leaf": true, "fix/b.Mid": true, "fix/a.Top": true, "fix/a.Idle": false,
+	})
 }
 
 func TestDumpDeterminism(t *testing.T) {
 	// Two engines over the same loaded packages must dump byte-identical
 	// summaries (the cmd/rtwlint determinism test covers the full-run
 	// JSON path).
-	pkgs := linttest.LoadPackages(t, cacheFixture())
+	pkgs := linttest.LoadPackages(t, chainFixture())
 	d1 := New(pkgs).Dump()
 	d2 := New(pkgs).Dump()
 	if !bytes.Equal(d1, d2) {
 		t.Errorf("dumps differ:\n%s\nvs\n%s", d1, d2)
 	}
-	if !bytes.Contains(d1, []byte("fix/c.Mu")) {
-		t.Errorf("dump lacks the lock class:\n%s", d1)
+	if !bytes.Contains(d1, []byte("\"fix/a.Top\": {\n    \"sorts\": true")) {
+		t.Errorf("dump lacks Top's Sorts fact:\n%s", d1)
 	}
 }
 
 func TestFuncOutsideModule(t *testing.T) {
-	e := engineOver(t, cacheFixture())
+	e := engineOver(t, chainFixture())
 	if got := e.Func(nil); got != nil {
 		t.Errorf("Func(nil) = %+v, want nil", got)
 	}
 	var zero *FuncFacts
-	if zero.ReleasesClass("x") {
-		t.Errorf("nil FuncFacts claims to release")
+	if r, ok := zero.ResultRange(0); ok || !r.IsTop() {
+		t.Errorf("nil FuncFacts: ResultRange(0) = %v, %v; want Top, false", r, ok)
 	}
 }
 

@@ -304,10 +304,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the connection owns delivery; nothing to do on failure
 }
 
+// decodeBody decodes the request body as exactly one JSON value into v.
+// Trailing whitespace is allowed; a second value or any other trailing
+// byte is a 400, so a request is never half applied.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("decode: %v", err)})
 		return false
 	}

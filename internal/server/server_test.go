@@ -239,7 +239,7 @@ func TestOverCapDeadlineIs400(t *testing.T) {
 }
 
 func TestJobBatchIsAtomic(t *testing.T) {
-	_, ts := newTestServer(t, "")
+	s, ts := newTestServer(t, "")
 	resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{
 		Name:    "paper-example",
 		Streams: []StreamRequest{paperStream(0), paperStream(1), paperStream(2)},
@@ -287,6 +287,40 @@ func TestJobBatchIsAtomic(t *testing.T) {
 		t.Fatalf("unknown field: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+
+	// A body is exactly one JSON value: a second value or trailing
+	// garbage is a 400 that admits nothing, on both admission routes.
+	// Trailing whitespace is fine.
+	one, err := json.Marshal(paperStream(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := json.Marshal(JobRequest{Streams: []StreamRequest{paperStream(3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ route, body string }{
+		{"/v1/streams", string(one) + string(one)},
+		{"/v1/streams", string(one) + " garbage"},
+		{"/v1/jobs", string(job) + " {}"},
+	} {
+		resp, err := http.Post(ts.URL+c.route, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || s.ctl.Len() != 3 {
+			t.Fatalf("POST %s %q: status %d, %d streams; want 400 and 3", c.route, c.body, resp.StatusCode, s.ctl.Len())
+		}
+	}
+	resp, err = http.Post(ts.URL+"/v1/streams", "application/json", strings.NewReader(string(one)+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || s.ctl.Len() != 4 {
+		t.Fatalf("trailing newline: status %d, %d streams; want 200 and 4", resp.StatusCode, s.ctl.Len())
+	}
 }
 
 func TestMetricsAndHealthz(t *testing.T) {
