@@ -10,11 +10,6 @@ import (
 	"repro/internal/topology"
 )
 
-const (
-	modeJump  = iota // every in-flight message on its analytic staircase
-	modeCycle        // exact per-cycle kernel (port of package sim's loop)
-)
-
 // ipair records one shared link between two stream paths: path index
 // pa on the first stream, pb on the second.
 type ipair struct {
@@ -26,7 +21,6 @@ type ipair struct {
 // way.
 type cmsg struct {
 	st      *stream.Stream
-	li      int // local stream index within the component
 	links   []*clink
 	ords    []int32
 	buf     []int
@@ -45,13 +39,6 @@ type cmsg struct {
 	advanced     bool
 	stale        int
 	flagged      bool
-
-	// Park bookkeeping: advPrev/candPrev are last cycle's activity
-	// flags, preserved across accountStalls' reset so tryRefresh can
-	// classify the message; parkFrom is the first frozen cycle.
-	advPrev  bool
-	candPrev bool
-	parkFrom int
 }
 
 func (m *cmsg) hops() int { return len(m.crossed) }
@@ -131,16 +118,12 @@ type comp struct {
 	nextSeq []int
 
 	// Jump-mode state: analytic flights, in release order.
-	flights []*flight
-	fpool   []*flight
+	flights []flight
 
 	// Materialisation scratch (stamp-order computation).
 	ordKeys   []flightOrder
 	ordIdx    []int
 	ordStamps []int64
-
-	// Refresh scratch: per-active staircase flags for the clash screen.
-	stairBuf []bool
 
 	// Cycle-kernel state (port of sim.Simulator's fields).
 	active   []*cmsg
@@ -151,10 +134,7 @@ type comp struct {
 	candBest []ccand
 	stamp    int64
 	now      int
-	mode     int
-	nextTry  int     // earliest cycle worth re-attempting tryRefresh
-	reentry  int     // scheduled first-interaction cycle for kernel re-entry
-	parked   []*cmsg // statically blocked messages frozen through jump mode
+	reentry  int // scheduled first-interaction cycle for kernel re-entry
 
 	unfinished    int
 	firstDeadlock int
@@ -174,11 +154,6 @@ func newComp(s *Simulator, ids []int, scanOrd map[topology.Channel]int, prioIdx 
 		s.cfg.Arbiter != sim.NonPreemptiveFIFO && s.cfg.Arbiter != sim.NonPreemptivePriority
 	c.schemeVC = s.cfg.Arbiter == sim.Preemptive || s.cfg.Arbiter == sim.Li
 	c.jumpable = c.rl == 0
-	if c.jumpable {
-		c.mode = modeJump
-	} else {
-		c.mode = modeCycle
-	}
 	n := len(ids)
 	c.streams = make([]*stream.Stream, n)
 	c.gidx = make([]int, n)
@@ -225,12 +200,8 @@ func newComp(s *Simulator, ids []int, scanOrd map[topology.Channel]int, prioIdx 
 		c.pathLinks[li] = hop
 		c.pathOrds[li] = ords
 		c.prio[li] = prioIdx[st.Priority]
-		H, C := st.Path.Hops(), st.Length
-		if c.depth >= 2 || H == 1 {
-			c.lat[li] = H + C - 1
-		} else {
-			c.lat[li] = H + 2*C - 2
-		}
+		H := st.Path.Hops()
+		c.lat[li] = freeLat(H, st.Length, c.depth)
 		c.wl[li] = c.lat[li] - H + 1
 	}
 	c.pairs = make([][][]ipair, n)
@@ -260,22 +231,24 @@ func newComp(s *Simulator, ids []int, scanOrd map[topology.Channel]int, prioIdx 
 
 // run simulates the component to the configured horizon, alternating
 // between analytic jump mode and the exact cycle kernel, then settles
-// the end-of-run accounting.
+// the end-of-run accounting. The component is in jump mode exactly
+// while its kernel holds no message: enterCycleMode hands every flight
+// to the kernel, and the kernel hands back only once it drains. A
+// drained kernel holds no VC and no pending header, which is exactly
+// the state jump mode assumes.
 func (c *comp) run() {
 	if c.runSolo() {
 		return
 	}
 	cycles := c.cfg.Cycles
 	for c.now < cycles {
-		if c.mode == modeJump {
-			c.jumpStep()
-			continue
-		}
-		// With nothing in flight the kernel state cannot change until
-		// the next release: skip the gap. (When jump mode is available
-		// tryRefresh already escapes this state; this is the idle
-		// skipping that remains with RouterLatency > 0.)
 		if len(c.active) == 0 {
+			if c.jumpable {
+				c.jumpStep()
+				continue
+			}
+			// Without jump mode (RouterLatency > 0) the kernel state
+			// cannot change until the next release: skip the gap.
 			t := cycles
 			for li := range c.streams {
 				if c.nextRel[li] < t {
@@ -288,25 +261,14 @@ func (c *comp) run() {
 			}
 			c.now = t
 		}
-		retired := c.kernelCycle()
-		if retired {
-			// A retirement invalidates any scheduled-retry estimate:
-			// the window set it was computed from no longer exists.
-			c.nextTry = 0
-		}
-		if c.now < cycles && (retired || c.now >= c.nextTry) {
-			c.tryRefresh()
-		}
+		c.kernelCycle()
 	}
 	c.finish()
 }
 
 // kernelCycle executes one exact simulation cycle — the same phase
-// sequence as sim.Simulator.Run — and reports whether any message
-// retired. A retirement makes a refresh immediately worth attempting;
-// a release never does (it only adds windows), so between retirements
-// attempts run on the nextTry schedule instead.
-func (c *comp) kernelCycle() bool {
+// sequence as sim.Simulator.Run.
+func (c *comp) kernelCycle() {
 	c.release()
 	if c.cfg.DropLate {
 		c.dropLate()
@@ -318,11 +280,9 @@ func (c *comp) kernelCycle() bool {
 	c.collectCandidates()
 	c.moveFlits()
 	c.accountStalls()
-	retired := len(c.retired) > 0
 	c.free = append(c.free, c.retired...)
 	c.retired = c.retired[:0]
 	c.now++
-	return retired
 }
 
 func (c *comp) release() {
@@ -364,7 +324,6 @@ func (c *comp) newMessage(li, seq, genTime int) *cmsg {
 	inflight := m.inflight
 	*m = cmsg{
 		st:      st,
-		li:      li,
 		links:   c.pathLinks[li],
 		ords:    c.pathOrds[li],
 		buf:     buf,
@@ -662,16 +621,6 @@ func (c *comp) accountStalls() {
 				}
 			}
 		}
-		if m.advPrev && !m.advanced {
-			// A free-flowing message just blocked: the park path opens,
-			// so any scheduled-retry estimate computed under the old
-			// regime is stale. (The opposite flip — a blocked message
-			// resuming — keeps the screen's window-overlap estimate
-			// valid: retiring traffic already forces an attempt.)
-			c.nextTry = 0
-		}
-		m.advPrev = m.advanced
-		m.candPrev = m.hadCandidate
 		m.advanced = false
 		m.hadCandidate = false
 	}
@@ -682,7 +631,7 @@ func (c *comp) deliver(m *cmsg) {
 	st := &c.res.PerStream[m.st.ID]
 	st.Delivered++
 	if m.genTime >= c.cfg.Warmup {
-		observe(st, latency, m.st.Deadline)
+		st.Observe(latency, m.st.Deadline)
 	}
 	for i, a := range c.active {
 		if a == m {
@@ -693,40 +642,12 @@ func (c *comp) deliver(m *cmsg) {
 	c.retired = append(c.retired, m)
 }
 
-// observe mirrors sim.StreamStats.observe (unexported there); the
-// differential battery pins the arithmetic.
-func observe(st *sim.StreamStats, latency, deadline int) {
-	st.Observed++
-	st.Latencies.Observe(latency)
-	st.SumLatency += int64(latency)
-	if st.Observed == 1 || latency < st.MinLatency {
-		st.MinLatency = latency
-	}
-	if latency > st.MaxLatency {
-		st.MaxLatency = latency
-	}
-	if latency > deadline {
-		st.Misses++
-	}
-}
-
 // finish settles end-of-run accounting: unfinished messages in either
 // representation and the per-channel activity flush.
 func (c *comp) finish() {
-	c.unfinished = len(c.active) + len(c.flights) + len(c.parked)
+	c.unfinished = len(c.active) + len(c.flights)
 	for _, m := range c.active {
 		c.res.PerStream[m.st.ID].Unfinished++
-	}
-	for _, m := range c.parked {
-		c.res.PerStream[m.st.ID].Unfinished++
-		if n := c.cfg.Cycles - m.parkFrom; n > 0 && m.genTime >= c.cfg.Warmup {
-			st := &c.res.PerStream[m.st.ID]
-			if m.candPrev {
-				st.ArbStallCycles += n
-			} else {
-				st.VCStallCycles += n
-			}
-		}
 	}
 	for _, f := range c.flights {
 		c.res.PerStream[c.streams[f.li].ID].Unfinished++

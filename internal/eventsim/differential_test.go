@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/eventsim"
+	"repro/internal/grid"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -227,5 +228,42 @@ func TestDifferentialLongHorizon(t *testing.T) {
 	for _, arb := range []sim.ArbiterKind{sim.Preemptive, sim.NonPreemptiveFIFO, sim.Li} {
 		cfg := sim.Config{Cycles: 30000, Warmup: 200, Arbiter: arb}
 		runBoth(t, set, cfg, fmt.Sprintf("paper/%v", arb))
+	}
+}
+
+// TestDifferentialPinnedDivergences pins full-horizon §5-shaped
+// replications on which an earlier event engine, one that froze
+// blocked messages through jump mode, booked a few cycles of progress
+// as stall (each case's comment names the first stream that differed).
+// The seeds come from rtwmc-style studies (grid.PointSeed(base,
+// replication)) and from a sweep of plain generator seeds.
+func TestDifferentialPinnedDivergences(t *testing.T) {
+	cases := []struct {
+		name             string
+		topo             string
+		streams, plevels int
+		arb              sim.ArbiterKind
+		seed             int64
+	}{
+		{"base2-rep3", "mesh2d-10x10", 20, 4, sim.Preemptive, grid.PointSeed(2, 3)},            // stream 17: SumLatency 10610, oracle 10608
+		{"base555-rep6", "mesh2d-10x10", 20, 4, sim.Preemptive, grid.PointSeed(555, 6)},        // EXPERIMENTS.md's study, stream 16
+		{"contended-base1-rep0", "mesh2d-10x10", 60, 15, sim.Preemptive, grid.PointSeed(1, 0)}, // stream 21
+		{"seed120", "mesh2d-10x10", 20, 4, sim.Preemptive, 120},                                // stream 18
+		{"seed132-li", "mesh2d-10x10", 20, 4, sim.Li, 132},                                     // stream 1
+		{"torus-seed122", "torus2d-4x4", 12, 4, sim.Preemptive, 122},                           // stream 1
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, err := topology.Parse(tc.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, _, err := workload.GenerateOn(topo, workload.PaperDefaults(tc.streams, tc.plevels, tc.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.Config{Cycles: 30000, Warmup: 200, Arbiter: tc.arb, BufferDepth: 2}
+			runBoth(t, set, cfg, fmt.Sprintf("%s/%d-%d/%v/seed%d", tc.topo, tc.streams, tc.plevels, tc.arb, tc.seed))
+		})
 	}
 }

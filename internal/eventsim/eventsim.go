@@ -28,7 +28,8 @@
 //     drops); the moment a release would overlap an occupancy window,
 //     the component falls back to the exact cycle kernel — a
 //     per-component port of package sim's loop — and returns to jump
-//     mode only when the survivors again match the staircase exactly.
+//     mode only when the component's kernel drains: when every
+//     message it holds has retired.
 //
 // The fallback rule is deliberately conservative: window overlap does
 // not always mean a flit-level stall, but free flow is only assumed
@@ -76,11 +77,11 @@ func New(set *stream.Set, cfg sim.Config) (*Simulator, error) {
 	if cfg.Tracer != nil {
 		return nil, fmt.Errorf("eventsim: tracing not supported (event order across conflict components is not reproduced); use the cycle engine")
 	}
-	c, err := withDefaults(cfg, set.Len())
+	c, err := cfg.WithDefaults(set.Len())
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{set: set, cfg: c, res: newResult(set, c)}
+	s := &Simulator{set: set, cfg: c, res: sim.NewResult(set, c)}
 	s.sched = newSchedule(set, c)
 
 	// Priority levels, ascending: index 0 is the lowest (as sim.New).
@@ -157,52 +158,6 @@ func New(set *stream.Set, cfg sim.Config) (*Simulator, error) {
 		s.comps = append(s.comps, newComp(s, ids, scanOrd, prioIdx, vcsPerLink))
 	}
 	return s, nil
-}
-
-// withDefaults mirrors sim.Config.withDefaults: the two engines must
-// accept and reject exactly the same configurations.
-func withDefaults(c sim.Config, n int) (sim.Config, error) {
-	out := c
-	if out.Cycles <= 0 {
-		return out, fmt.Errorf("eventsim: cycles %d must be positive", out.Cycles)
-	}
-	if out.Warmup < 0 || out.Warmup >= out.Cycles {
-		return out, fmt.Errorf("eventsim: warmup %d out of range [0,%d)", out.Warmup, out.Cycles)
-	}
-	if out.BufferDepth == 0 {
-		out.BufferDepth = 2
-	}
-	if out.BufferDepth < 1 {
-		return out, fmt.Errorf("eventsim: buffer depth %d must be >= 1", out.BufferDepth)
-	}
-	if out.SporadicJitter < 0 {
-		return out, fmt.Errorf("eventsim: sporadic jitter %d must be >= 0", out.SporadicJitter)
-	}
-	if out.Offsets != nil && len(out.Offsets) != n {
-		return out, fmt.Errorf("eventsim: %d offsets for %d streams", len(out.Offsets), n)
-	}
-	for i, o := range out.Offsets {
-		if o < 0 {
-			return out, fmt.Errorf("eventsim: offset[%d] = %d must be >= 0", i, o)
-		}
-	}
-	return out, nil
-}
-
-// newResult mirrors sim's result construction.
-func newResult(set *stream.Set, cfg sim.Config) *sim.Result {
-	r := &sim.Result{
-		Cycles:             cfg.Cycles,
-		Warmup:             cfg.Warmup,
-		Arbiter:            cfg.Arbiter,
-		PerStream:          make([]sim.StreamStats, set.Len()),
-		PerChannel:         make(map[topology.Channel]sim.ChannelStats),
-		FirstDeadlockCycle: -1,
-	}
-	for i := range r.PerStream {
-		r.PerStream[i].ID = stream.ID(i)
-	}
-	return r
 }
 
 // Run simulates every conflict component to completion and merges the

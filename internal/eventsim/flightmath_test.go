@@ -20,68 +20,37 @@ func caStep(cr []int, C, d int) {
 	}
 }
 
-// consistentStates enumerates every kernel-reachable solo state shape:
-// monotone non-increasing flit counts with adjacent differences
-// bounded by the buffer depth.
-func consistentStates(H, C, d int) [][]int {
-	var out [][]int
-	var rec func(prefix []int)
-	rec = func(prefix []int) {
-		if len(prefix) == H {
-			st := make([]int, H)
-			copy(st, prefix)
-			out = append(out, st)
-			return
-		}
-		hi := C
-		lo := 0
-		if len(prefix) > 0 {
-			hi = prefix[len(prefix)-1]
-			lo = hi - d
-			if lo < 0 {
-				lo = 0
-			}
-		}
-		for v := lo; v <= hi; v++ {
-			rec(append(prefix, v))
-		}
-	}
-	rec(nil)
-	return out
-}
-
-// TestFlightMathAgainstCA pins the max-plus closed forms (flightT,
-// crossedAt) against a brute-force solo simulation from every
-// consistent snapshot state, over all small shapes and buffer depths.
+// TestFlightMathAgainstCA pins the closed forms jump mode flies on —
+// the from-release trajectory stairCrossed, the unloaded latency
+// freeLat and the per-link occupancy window it implies — against a
+// brute-force solo simulation from the empty snapshot, over all small
+// shapes and buffer depths.
 func TestFlightMathAgainstCA(t *testing.T) {
-	for _, d := range []int{1, 2, 3, 4} {
-		for H := 1; H <= 4; H++ {
-			for C := 1; C <= 4; C++ {
-				c := &comp{depth: d}
-				for _, snap := range consistentStates(H, C, d) {
-					if snap[H-1] >= C {
-						continue // already delivered
+	for d := 1; d <= 4; d++ {
+		for H := 1; H <= 5; H++ {
+			for C := 1; C <= 5; C++ {
+				lat := freeLat(H, C, d)
+				wl := lat - H + 1 // as newComp
+				cr := make([]int, H)
+				for a := 0; a <= lat+2; a++ {
+					for j := 0; j < H; j++ {
+						if got := stairCrossed(a, j, C, d, H); got != cr[j] {
+							t.Fatalf("d=%d H=%d C=%d: stairCrossed(a=%d, j=%d) = %d, CA has %d",
+								d, H, C, a, j, got, cr[j])
+						}
 					}
-					const tc = 37
-					f := &flight{tc: tc, snap: snap, gen: true}
-					cr := make([]int, H)
-					copy(cr, snap)
-					deliver := c.flightT(f, C, H-1, C, H)
-					for now := tc; now <= deliver+2; now++ {
-						for j := 0; j < H; j++ {
-							if got := c.crossedAt(f, j, now, C, H); got != cr[j] {
-								t.Fatalf("d=%d H=%d C=%d snap=%v: crossedAt(j=%d, t=%d) = %d, CA has %d",
-									d, H, C, snap, j, now, got, cr[j])
-							}
-						}
-						if cr[H-1] == C && now <= deliver {
-							t.Fatalf("d=%d H=%d C=%d snap=%v: CA delivered before predicted %d (now=%d)",
-								d, H, C, snap, deliver, now)
-						}
-						caStep(cr, C, d)
-						if now == deliver && cr[H-1] != C {
-							t.Fatalf("d=%d H=%d C=%d snap=%v: predicted delivery %d but CA not done: %v",
-								d, H, C, snap, deliver, cr)
+					if done := cr[H-1] == C; done != (a >= lat) {
+						t.Fatalf("d=%d H=%d C=%d: at a=%d CA delivered=%v, freeLat=%d",
+							d, H, C, a, done, lat)
+					}
+					before := append([]int(nil), cr...)
+					caStep(cr, C, d)
+					for j := 0; j < H; j++ {
+						// The occupancy window of link j is [j, j+wl-1]
+						// relative to release: no crossing outside it.
+						if cr[j] != before[j] && (a < j || a > j+wl-1) {
+							t.Fatalf("d=%d H=%d C=%d: link %d crossed during a=%d, outside window [%d,%d]",
+								d, H, C, j, a, j, j+wl-1)
 						}
 					}
 				}

@@ -63,7 +63,7 @@ func (c *comp) runSolo() bool {
 		default:
 			ps.Delivered++
 			if rel >= warmup {
-				observe(ps, lat, st.Deadline)
+				ps.Observe(lat, st.Deadline)
 				ps.ProgressCycles += lat - 1
 			}
 			for _, l := range links {

@@ -53,7 +53,7 @@ func New(set *stream.Set, cfg Config) (*Simulator, error) {
 	if set.Len() == 0 {
 		return nil, fmt.Errorf("sim: empty stream set")
 	}
-	c, err := cfg.withDefaults(set.Len())
+	c, err := cfg.WithDefaults(set.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func New(set *stream.Set, cfg Config) (*Simulator, error) {
 		nextSeq: make([]int, set.Len()),
 		rl:      set.RouterLatency,
 		jitter:  rand.New(rand.NewSource(c.JitterSeed)),
-		stats:   newResult(set, c),
+		stats:   NewResult(set, c),
 	}
 	// Priority levels, ascending: index 0 is the lowest priority.
 	levels := set.PriorityLevels() // descending
@@ -611,7 +611,7 @@ func (s *Simulator) deliver(m *message) {
 	st := &s.stats.PerStream[m.s.ID]
 	st.Delivered++
 	if m.genTime >= s.cfg.Warmup {
-		st.observe(latency, m.s.Deadline)
+		st.Observe(latency, m.s.Deadline)
 	}
 	for i, a := range s.active {
 		if a == m {

@@ -129,7 +129,10 @@ type Config struct {
 	DropLate bool
 }
 
-func (c *Config) withDefaults(n int) (Config, error) {
+// WithDefaults validates c for a set of n streams and fills in the
+// defaults (buffer depth 2). Every engine that consumes a Config calls
+// it, so all of them accept and reject exactly the same configurations.
+func (c *Config) WithDefaults(n int) (Config, error) {
 	out := *c
 	if out.Cycles <= 0 {
 		return out, fmt.Errorf("sim: cycles %d must be positive", out.Cycles)

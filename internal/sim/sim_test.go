@@ -402,6 +402,15 @@ func TestStatsAccessors(t *testing.T) {
 	if !isNaN(zero.Mean()) {
 		t.Fatal("mean of zero observations should be NaN")
 	}
+	// Both engines book deliveries through Observe: a latency equal to
+	// the deadline is on time, one past it is a miss.
+	var obs StreamStats
+	obs.Observe(9, 9)
+	obs.Observe(10, 9)
+	if obs.Observed != 2 || obs.Misses != 1 || obs.SumLatency != 19 ||
+		obs.MinLatency != 9 || obs.MaxLatency != 10 || obs.Latencies.Count() != 2 {
+		t.Fatalf("Observe: %+v", obs)
+	}
 }
 
 func isNaN(f float64) bool { return f != f }

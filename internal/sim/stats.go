@@ -40,7 +40,9 @@ type StreamStats struct {
 	Latencies hist.H
 }
 
-func (st *StreamStats) observe(latency, deadline int) {
+// Observe records one delivery of the given latency in the latency
+// statistics, counting a miss when it exceeds deadline.
+func (st *StreamStats) Observe(latency, deadline int) {
 	st.Observed++
 	st.Latencies.Observe(latency)
 	st.SumLatency += int64(latency)
@@ -92,7 +94,9 @@ type Result struct {
 	FirstDeadlockCycle int
 }
 
-func newResult(set *stream.Set, cfg Config) *Result {
+// NewResult returns the empty result of a run of set under cfg (already
+// passed through WithDefaults): one zeroed StreamStats per stream.
+func NewResult(set *stream.Set, cfg Config) *Result {
 	r := &Result{
 		Cycles:             cfg.Cycles,
 		Warmup:             cfg.Warmup,
