@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-fix lint-sarif bench bench-json load-smoke explore-smoke mc-smoke reproduce quick-reproduce fuzz cover clean
+.PHONY: all build test test-race vet lint lint-fix lint-sarif bench bench-json load-smoke explore-smoke mc-smoke reproduce reproduce-check quick-reproduce fuzz cover clean
 
 all: build vet lint test
 
@@ -51,12 +51,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark snapshot: the five paper tables plus the
-# core-engine micro-benchmarks, one iteration each with -benchmem,
-# converted to JSON at the repo root (committed; see
-# docs/PERFORMANCE.md for the tracked numbers and how to compare).
+# core-engine micro-benchmarks, five runs each at the default benchtime
+# with -benchmem, folded by cmd/benchjson into one JSON entry per
+# benchmark (median, min and max of every metric) at the repo root
+# (committed; see docs/PERFORMANCE.md for the tracked numbers and how
+# to compare).
 bench-json:
-	$(GO) test -run '^$$' -bench '^(BenchmarkTable[1-5]|BenchmarkCalU|BenchmarkHPSetConstruction|BenchmarkSimulator|BenchmarkEventSim|BenchmarkMCReplications|BenchmarkAdmitIncremental|BenchmarkAdmitFull|BenchmarkExploreSweep|BenchmarkLintRepo)$$' \
-		-benchtime=1x -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_core.json
+	$(GO) test -run '^$$' -bench '^(BenchmarkTable[1-5]|BenchmarkCalU|BenchmarkInflate|BenchmarkHPSetConstruction|BenchmarkSimulator|BenchmarkEventSim|BenchmarkMCReplications|BenchmarkAdmitIncremental|BenchmarkAdmitFull|BenchmarkExploreSweep|BenchmarkLintRepo)$$' \
+		-count=5 -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_core.json
 
 # Short deterministic load run against a hermetic in-process daemon:
 # a fixed seed and rate, chaos kill/restart in the middle, zero error
@@ -100,6 +102,13 @@ explore-smoke:
 # crosscheck, summary).
 reproduce:
 	$(GO) run ./cmd/reproduce -out out
+
+# Regenerate the full reproduction into a temporary directory and fail
+# if any file differs from the committed out/ (every table, figure,
+# sweep and crosscheck output must be byte-identical).
+reproduce-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/reproduce -out "$$tmp" >/dev/null && diff -r out "$$tmp" && echo "reproduce-check: out/ is up to date"
 
 quick-reproduce:
 	$(GO) run ./cmd/reproduce -out out -quick

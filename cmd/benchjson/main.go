@@ -3,7 +3,7 @@
 // diffed and consumed by scripts without re-parsing the bench text
 // format everywhere.
 //
-//	go test -run '^$' -bench 'Table|CalU' -benchmem . | go run ./cmd/benchjson -o BENCH_core.json
+//	go test -run '^$' -bench 'Table|CalU' -count=5 -benchmem . | go run ./cmd/benchjson -o BENCH_core.json
 //
 // The parser understands the standard benchmark line —
 //
@@ -13,7 +13,9 @@
 // table benchmarks attach top-ratio and bottom-ratio). Context lines
 // (goos/goarch/pkg/cpu) are carried into the enclosing document and,
 // for pkg, onto each benchmark. Non-benchmark lines (PASS, ok, logs)
-// are ignored. Exit status is 1 if no benchmark line was found, so a
+// are ignored. The lines of one benchmark (same pkg and name, one per
+// -count run) fold into one entry holding the per-metric median, min
+// and max. Exit status is 1 if no benchmark line was found, so a
 // silently empty run fails loudly in CI.
 package main
 
@@ -24,11 +26,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed benchmark result line.
+// Benchmark is one benchmark folded over its result lines.
 type Benchmark struct {
 	// Name is the benchmark name without the -P GOMAXPROCS suffix.
 	Name string `json:"name"`
@@ -36,11 +39,24 @@ type Benchmark struct {
 	Pkg string `json:"pkg,omitempty"`
 	// Procs is the GOMAXPROCS suffix (0 if none was printed).
 	Procs int `json:"procs,omitempty"`
-	// Iterations is b.N for the measured run.
+	// Runs is the number of result lines folded into the entry.
+	Runs int `json:"runs"`
+	// Iterations is b.N summed over the runs.
 	Iterations int `json:"iterations"`
-	// Metrics maps unit → value: ns/op, B/op, allocs/op, plus any
-	// custom b.ReportMetric units.
+	// Metrics maps unit → the median over the runs: ns/op, B/op,
+	// allocs/op, plus any custom b.ReportMetric units.
 	Metrics map[string]float64 `json:"metrics"`
+	// Min and Max map unit → the smallest and largest value of a run.
+	Min map[string]float64 `json:"min"`
+	Max map[string]float64 `json:"max"`
+}
+
+// result is one parsed benchmark result line.
+type result struct {
+	name       string
+	procs      int
+	iterations int
+	metrics    map[string]float64
 }
 
 // Document is the emitted JSON root.
@@ -78,6 +94,9 @@ func main() {
 func parse(r io.Reader) (*Document, error) {
 	doc := &Document{}
 	pkg := ""
+	type key struct{ pkg, name string }
+	index := map[key]int{}
+	var runs [][]result // runs[i] are the lines of doc.Benchmarks[i]
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -92,12 +111,18 @@ func parse(r io.Reader) (*Document, error) {
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			b, ok := parseBenchLine(line)
+			res, ok := parseBenchLine(line)
 			if !ok {
 				continue
 			}
-			b.Pkg = pkg
-			doc.Benchmarks = append(doc.Benchmarks, b)
+			i, seen := index[key{pkg, res.name}]
+			if !seen {
+				i = len(doc.Benchmarks)
+				index[key{pkg, res.name}] = i
+				doc.Benchmarks = append(doc.Benchmarks, Benchmark{Name: res.name, Pkg: pkg, Procs: res.procs})
+				runs = append(runs, nil)
+			}
+			runs[i] = append(runs[i], res)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -106,35 +131,59 @@ func parse(r io.Reader) (*Document, error) {
 	if len(doc.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines in input")
 	}
+	for i := range doc.Benchmarks {
+		fold(&doc.Benchmarks[i], runs[i])
+	}
 	return doc, nil
+}
+
+// fold fills b's run count, total iterations, and the median, min and
+// max of every metric over runs. The median of an even count is the
+// mean of the middle two.
+func fold(b *Benchmark, runs []result) {
+	vals := map[string][]float64{}
+	for _, r := range runs {
+		b.Iterations += r.iterations
+		for unit, v := range r.metrics {
+			vals[unit] = append(vals[unit], v)
+		}
+	}
+	b.Runs = len(runs)
+	b.Metrics, b.Min, b.Max = map[string]float64{}, map[string]float64{}, map[string]float64{}
+	for unit, vs := range vals {
+		sort.Float64s(vs)
+		n := len(vs)
+		b.Metrics[unit] = (vs[(n-1)/2] + vs[n/2]) / 2
+		b.Min[unit], b.Max[unit] = vs[0], vs[n-1]
+	}
 }
 
 // parseBenchLine parses one "BenchmarkX-P  N  v unit  v unit ..."
 // line. It returns ok=false for lines that merely start with the word
 // Benchmark (such as a benchmark's own log output).
-func parseBenchLine(line string) (Benchmark, bool) {
+func parseBenchLine(line string) (result, bool) {
 	fields := strings.Fields(line)
 	// Name, iterations, and at least one value-unit pair.
 	if len(fields) < 4 || len(fields)%2 != 0 {
-		return Benchmark{}, false
+		return result{}, false
 	}
-	b := Benchmark{Name: fields[0], Metrics: map[string]float64{}}
-	if i := strings.LastIndexByte(b.Name, '-'); i > 0 {
-		if p, err := strconv.Atoi(b.Name[i+1:]); err == nil {
-			b.Name, b.Procs = b.Name[:i], p
+	r := result{name: fields[0], metrics: map[string]float64{}}
+	if i := strings.LastIndexByte(r.name, '-'); i > 0 {
+		if p, err := strconv.Atoi(r.name[i+1:]); err == nil {
+			r.name, r.procs = r.name[:i], p
 		}
 	}
 	n, err := strconv.Atoi(fields[1])
 	if err != nil {
-		return Benchmark{}, false
+		return result{}, false
 	}
-	b.Iterations = n
+	r.iterations = n
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, false
+			return result{}, false
 		}
-		b.Metrics[fields[i+1]] = v
+		r.metrics[fields[i+1]] = v
 	}
-	return b, true
+	return r, true
 }

@@ -53,3 +53,48 @@ func TestParseRejectsEmpty(t *testing.T) {
 		t.Fatal("empty bench output should be an error")
 	}
 }
+
+// TestFoldRuns folds -count runs: three lines of one benchmark become
+// one entry with the per-metric median, min and max; a benchmark with
+// one line has all three equal; the same name under another package
+// stays a separate entry.
+func TestFoldRuns(t *testing.T) {
+	const runs = `pkg: repro
+BenchmarkTable1-2   	       1	 300 ns/op	  10 B/op	  0.5 top-ratio
+BenchmarkTable1-2   	       1	 100 ns/op	  30 B/op	  0.5 top-ratio
+BenchmarkTable1-2   	       2	 200 ns/op	  20 B/op	  0.5 top-ratio
+BenchmarkCalU/worked-example-2   	    1000	      15 ns/op
+pkg: repro/internal/core
+BenchmarkTable1-2   	       1	 999 ns/op
+`
+	doc, err := parse(strings.NewReader(runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 3 {
+		t.Fatalf("folded into %d entries, want 3: %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	check := func(b Benchmark, name, pkg string, runs, iters int, median, min, max map[string]float64) {
+		t.Helper()
+		if b.Name != name || b.Pkg != pkg || b.Procs != 2 || b.Runs != runs || b.Iterations != iters {
+			t.Fatalf("entry %+v, want %s in %s, %d runs, %d iterations", b, name, pkg, runs, iters)
+		}
+		for unit, want := range median {
+			if b.Metrics[unit] != want || b.Min[unit] != min[unit] || b.Max[unit] != max[unit] {
+				t.Errorf("%s %s: median/min/max %v/%v/%v, want %v/%v/%v", name, unit,
+					b.Metrics[unit], b.Min[unit], b.Max[unit], want, min[unit], max[unit])
+			}
+		}
+		if len(b.Metrics) != len(median) || len(b.Min) != len(median) || len(b.Max) != len(median) {
+			t.Errorf("%s: metric maps %v / %v / %v, want %d units", name, b.Metrics, b.Min, b.Max, len(median))
+		}
+	}
+	check(doc.Benchmarks[0], "BenchmarkTable1", "repro", 3, 4,
+		map[string]float64{"ns/op": 200, "B/op": 20, "top-ratio": 0.5},
+		map[string]float64{"ns/op": 100, "B/op": 10, "top-ratio": 0.5},
+		map[string]float64{"ns/op": 300, "B/op": 30, "top-ratio": 0.5})
+	one := map[string]float64{"ns/op": 15}
+	check(doc.Benchmarks[1], "BenchmarkCalU/worked-example", "repro", 1, 1000, one, one, one)
+	other := map[string]float64{"ns/op": 999}
+	check(doc.Benchmarks[2], "BenchmarkTable1", "repro/internal/core", 1, 1, other, other, other)
+}

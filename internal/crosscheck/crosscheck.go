@@ -1,17 +1,19 @@
 // Package crosscheck systematically validates the delay-upper-bound
 // analysis against the flit-level simulator: random workloads are
-// generated, every stream's bound computed, the network simulated, and
-// every observed latency compared against its bound. Violations are
-// reported with a diagnosis — in particular the number of same-priority
-// streams sharing the victim's path, since head-of-line blocking on a
-// shared virtual channel is the one mechanism the paper's model does
-// not charge (see EXPERIMENTS.md).
+// generated, every stream's bound computed, the network simulated on
+// the event engine (package eventsim, stat for stat the cycle-accurate
+// oracle's result), and every observed latency compared against its
+// bound. Violations are reported with a diagnosis — in particular the
+// number of same-priority streams sharing the victim's path, since
+// head-of-line blocking on a shared virtual channel is the one
+// mechanism the paper's model does not charge (see EXPERIMENTS.md).
 package crosscheck
 
 import (
 	"fmt"
 	"strings"
 
+	"repro/internal/eventsim"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -137,7 +139,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		simulator, err := sim.New(set, sim.Config{Cycles: cfg.Cycles, Warmup: cfg.Warmup})
+		simulator, err := eventsim.New(set, sim.Config{Cycles: cfg.Cycles, Warmup: cfg.Warmup})
 		if err != nil {
 			return nil, err
 		}

@@ -216,7 +216,10 @@ func TestDifferentialRouterLatency(t *testing.T) {
 // TestDifferentialLongHorizon runs the exact §5 benchmark workload
 // (20 streams, 4 levels, seed 555) for the full 30000-cycle horizon —
 // the configuration BenchmarkEventSim measures must also be the
-// configuration proven identical.
+// configuration proven identical — and then the first trial of each
+// of Tables 1–5 exactly as exp.RunTable simulates it: generated with
+// the table's shape and seed, periods inflated at the 65536-slot cap,
+// 30000 flit times under the preemptive arbiter.
 func TestDifferentialLongHorizon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long horizon differential skipped in -short")
@@ -228,6 +231,28 @@ func TestDifferentialLongHorizon(t *testing.T) {
 	for _, arb := range []sim.ArbiterKind{sim.Preemptive, sim.NonPreemptiveFIFO, sim.Li} {
 		cfg := sim.Config{Cycles: 30000, Warmup: 200, Arbiter: arb}
 		runBoth(t, set, cfg, fmt.Sprintf("paper/%v", arb))
+	}
+	for _, tb := range []struct {
+		table, streams, plevels int
+		seed                    int64
+	}{
+		{1, 20, 1, 1001},
+		{2, 60, 1, 1002},
+		{3, 20, 4, 1003},
+		{4, 20, 5, 1004},
+		{5, 60, 15, 1005},
+	} {
+		wcfg := workload.PaperDefaults(tb.streams, tb.plevels, tb.seed)
+		wcfg.InflatePeriods = false
+		set, analyzer, err := workload.Generate(wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := workload.Inflate(set, analyzer, 1<<16); err != nil {
+			t.Fatal(err)
+		}
+		cfg := sim.Config{Cycles: 30000, Warmup: 200, Arbiter: sim.Preemptive}
+		runBoth(t, set, cfg, fmt.Sprintf("table%d/seed%d", tb.table, tb.seed))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/eventsim"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -214,7 +215,7 @@ func Figure2(cycles int) (*FigureReport, error) {
 	offsets := []int{0, 0, 5}
 
 	run := func(kind sim.ArbiterKind) (*sim.Result, error) {
-		s, err := sim.New(set, sim.Config{Cycles: cycles, Arbiter: kind, Offsets: offsets})
+		s, err := eventsim.New(set, sim.Config{Cycles: cycles, Arbiter: kind, Offsets: offsets})
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/eventsim"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/priority"
@@ -63,7 +64,7 @@ func LoadSweep(streams, plevels int, seed int64, scales []float64, arbiter sim.A
 			ns.Deadline = period
 			scaled.Streams = append(scaled.Streams, &ns)
 		}
-		simulator, err := sim.New(scaled, sim.Config{Cycles: cycles, Warmup: 200, Arbiter: arbiter})
+		simulator, err := eventsim.New(scaled, sim.Config{Cycles: cycles, Warmup: 200, Arbiter: arbiter})
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +185,7 @@ func QuantizationSweep(streams int, vcCounts []int, seed int64, cycles int) ([]Q
 		if err != nil {
 			return nil, err
 		}
-		simulator, err := sim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
+		simulator, err := eventsim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +243,7 @@ func RouterLatencySweep(streams, plevels int, seed int64, depths []int, cycles i
 		if err != nil {
 			return nil, err
 		}
-		simulator, err := sim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
+		simulator, err := eventsim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
 		if err != nil {
 			return nil, err
 		}

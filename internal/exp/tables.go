@@ -1,9 +1,12 @@
 // Package exp regenerates every table and figure of the paper's
 // evaluation (§5) plus the worked examples of §4, wiring together the
 // workload generator, the delay-bound analyzer (package core), the
-// flit-level simulator (package sim) and the metrics aggregation. The
-// command-line tools (cmd/tables, cmd/figures) and the benchmark
-// harness (bench_test.go) are thin wrappers around this package.
+// flit-level simulator and the metrics aggregation. Every simulation
+// runs on the event engine (package eventsim), which returns the same
+// sim.Result as the cycle-accurate oracle in package sim, stat for
+// stat, in a fraction of the time. The command-line tools (cmd/tables,
+// cmd/figures) and the benchmark harness (bench_test.go) are thin
+// wrappers around this package.
 package exp
 
 import (
@@ -11,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/eventsim"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -155,7 +159,7 @@ func runTrial(spec TableSpec, seed int64) (*metrics.RatioTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	simulator, err := sim.New(set, sim.Config{
+	simulator, err := eventsim.New(set, sim.Config{
 		Cycles:  spec.Cycles,
 		Warmup:  spec.Warmup,
 		Arbiter: spec.Arbiter,

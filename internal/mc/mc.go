@@ -11,6 +11,7 @@
 package mc
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -166,8 +167,9 @@ func (c Config) validate() error {
 }
 
 // Run executes the study. The returned result is a pure function of
-// the configuration (never of worker scheduling); the first
-// replication error, in replication order, aborts the run.
+// the configuration (never of worker scheduling). If any replication
+// fails, Run returns no result and one error naming every failing
+// point (see failures).
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -190,9 +192,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Workers only send on a channel — the merge loop below is the
-	// single owner of every slice write — and the error of the
-	// smallest replication index wins, so the outcome is identical for
-	// every worker count and schedule.
+	// single owner of every slice write — and outcomes land in their
+	// replication-index slots, so the result and any error are
+	// identical for every worker count and schedule.
 	type repOut struct {
 		pos int
 		rep Replication
@@ -221,19 +223,12 @@ func Run(cfg Config) (*Result, error) {
 	wg.Wait()
 	close(out)
 	reps := make([]Replication, total)
-	firstErr := -1
-	var errAt error
+	errs := make([]error, total)
 	for o := range out {
-		if o.err != nil {
-			if firstErr < 0 || o.pos < firstErr {
-				firstErr, errAt = o.pos, o.err
-			}
-			continue
-		}
-		reps[o.pos] = o.rep
+		reps[o.pos], errs[o.pos] = o.rep, o.err
 	}
-	if firstErr >= 0 {
-		return nil, fmt.Errorf("mc: point %d seed %d: %w", firstErr/cfg.Seeds, firstErr%cfg.Seeds, errAt)
+	if err := failures(points, cfg.Seeds, errs); err != nil {
+		return nil, err
 	}
 
 	res := &Result{Seeds: cfg.Seeds, BaseSeed: cfg.BaseSeed, Engine: engine, Replications: reps}
@@ -241,6 +236,38 @@ func Run(cfg Config) (*Result, error) {
 		res.Points = append(res.Points, summarize(p, reps[pi*cfg.Seeds:(pi+1)*cfg.Seeds]))
 	}
 	return res, nil
+}
+
+// failures reports every point with a failed replication, in point
+// order: how many of its replications failed, and the first of them
+// (in replication order) wrapped with %w. It returns nil when errs,
+// indexed by replication, holds no error.
+func failures(points []PointConfig, seeds int, errs []error) error {
+	var bad []error
+	failed := 0
+	for pi, p := range points {
+		var first error
+		firstSeed, n := 0, 0
+		for si, err := range errs[pi*seeds : (pi+1)*seeds] {
+			if err == nil {
+				continue
+			}
+			if n == 0 {
+				first, firstSeed = err, si
+			}
+			n++
+		}
+		if n > 0 {
+			failed += n
+			bad = append(bad, fmt.Errorf("point %d (%s): %d of %d replications failed; first, seed %d: %w",
+				pi, p.Name, n, seeds, firstSeed, first))
+		}
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("mc: %d of %d replications failed, in %d of %d points:\n%w",
+		failed, len(errs), len(bad), len(points), errors.Join(bad...))
 }
 
 // runReplication simulates one generated workload and extracts the

@@ -127,6 +127,67 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestRunReportsEveryFailingPoint mixes a good point with two whose
+// topology does not parse: validate accepts them, and every one of
+// their replications fails. The error must name both bad points with
+// their failure counts, wrap each point's first failure, and read the
+// same for any worker count.
+func TestRunReportsEveryFailingPoint(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Seeds = 3
+	bad := []string{"nonsense-3", "mesh2d-7"}
+	cfg.Points = []PointConfig{
+		cfg.Points[0],
+		{Topology: bad[0], Arbiter: sim.Preemptive},
+		{Topology: bad[1], Arbiter: sim.Li},
+	}
+	var parseErrs []string
+	for _, name := range bad {
+		_, err := topology.Parse(name)
+		if err == nil {
+			t.Fatalf("topology %q parses", name)
+		}
+		parseErrs = append(parseErrs, err.Error())
+	}
+	want := "mc: 6 of 9 replications failed, in 2 of 3 points:\n" +
+		"point 1 (nonsense-3/preemptive/b2): 3 of 3 replications failed; first, seed 0: " + parseErrs[0] + "\n" +
+		"point 2 (mesh2d-7/li/b2): 3 of 3 replications failed; first, seed 0: " + parseErrs[1]
+	for _, w := range []int{1, 4} {
+		cfg.Workers = w
+		res, err := Run(cfg)
+		if err == nil || res != nil {
+			t.Fatalf("workers=%d: study with unparsable topologies returned %v, %v", w, res, err)
+		}
+		if err.Error() != want {
+			t.Fatalf("workers=%d: error\n%s\nwant\n%s", w, err, want)
+		}
+		for _, msg := range parseErrs {
+			if !wraps(err, msg) {
+				t.Fatalf("workers=%d: error does not wrap %q", w, msg)
+			}
+		}
+	}
+}
+
+// wraps reports whether msg is the message of err or of an error err
+// wraps, following both single and joined wrapping.
+func wraps(err error, msg string) bool {
+	if err.Error() == msg {
+		return true
+	}
+	switch u := err.(type) {
+	case interface{ Unwrap() error }:
+		return wraps(u.Unwrap(), msg)
+	case interface{ Unwrap() []error }:
+		for _, e := range u.Unwrap() {
+			if wraps(e, msg) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestOutputs sanity-checks the three encoders on a real result.
 func TestOutputs(t *testing.T) {
 	cfg := smallConfig()
