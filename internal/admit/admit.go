@@ -338,10 +338,12 @@ func (c *Controller) admit(st *State, specs []Spec, handles []Handle) (*Result, 
 }
 
 // Withdraw atomically removes the given streams, recomputing only the
-// bounds their departure can lower. It returns the number of bounds
-// recomputed. Withdrawal cannot break feasibility — removing streams
-// only removes blocking — but the cached report tracks the tighter
-// bounds immediately.
+// bounds their departure can change. It returns the number of bounds
+// recomputed. Withdrawal can break feasibility: with indirect HP
+// elements a bound can rise when interference falls (in §5 pool 1,
+// removing stream 15 raises stream 7's U from 260 to 1574; ROADMAP
+// item 1), and Withdraw commits the recomputed report as it is, an
+// infeasible verdict included.
 func (c *Controller) Withdraw(handles ...Handle) (int, error) {
 	if len(handles) == 0 {
 		return 0, fmt.Errorf("admit: empty withdrawal")

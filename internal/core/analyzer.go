@@ -136,8 +136,9 @@ func (a *Analyzer) InitialDiagram(id stream.ID, horizon int) (*Diagram, error) {
 // does not exist within the deadline (the stream is infeasible).
 //
 // CalU, CalUHorizon, CalUSearch and CalUSearchCap are one-shot
-// conveniences over a throwaway Calc; batch callers should hold a
-// Calc (see NewCalc) so its scratch buffers amortize across calls.
+// conveniences over a throwaway Calc. Their diagram scratch comes from
+// the pooled arenas all the same; a batch caller that holds a Calc
+// (see NewCalc) also reuses its element buffer.
 func (a *Analyzer) CalU(id stream.ID) (int, error) {
 	return a.NewCalc().CalU(id)
 }

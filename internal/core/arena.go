@@ -1,11 +1,20 @@
 package core
 
+import "sync"
+
 // Arena is a grow-only scratch allocator for the timing-diagram
 // engine's internal buffers (bitset words, demand windows, row
-// headers). A Calc owns one arena and calls Reset before each stream:
-// the backing storage is kept and re-carved, so a worker that analyses
-// thousands of streams allocates roughly once — the GC churn that used
-// to dominate the table benchmarks disappears.
+// headers, Modify's re-layout scratch). Every Cal_U entry point of
+// Calc borrows one from a process-wide free list for the length of the
+// call and returns it reset, so a process that analyses thousands of
+// streams — with one Calc, or a fresh one per stream or per batch —
+// allocates roughly once per concurrent caller.
+//
+// Outside tests, only calc.go builds arena-backed diagrams, and its
+// entry points return an int or a Report, so no arena-backed slice
+// outlives the call that borrowed the arena. Keep it that way: a
+// diagram that escaped would be re-carved under its holder by the next
+// borrower.
 //
 // Carving hands out zeroed, capacity-clipped sub-slices. When a pool's
 // backing array runs out, a larger one replaces it; slices carved
@@ -23,22 +32,73 @@ type Arena struct {
 	ids   arenaPool[int32]
 }
 
+// arenas is the free list of idle arenas, the most recently returned
+// last. It never holds more arenas than Cal_U calls have run at once,
+// and it keeps each one, at the size of the largest call it served,
+// for the life of the process. A sync.Pool would give idle arenas back
+// to the collector, but it drops them at garbage collection and keeps
+// one per P that other Ps cannot take, and every miss grows a new
+// arena from nothing: docs/PERFORMANCE.md ("Cal_U borrows its scratch
+// per call") has the measurements.
+var arenas struct {
+	sync.Mutex
+	idle []*Arena
+}
+
+// borrowArena takes an arena off the free list, or makes a new one.
+func borrowArena() *Arena {
+	arenas.Lock()
+	defer arenas.Unlock()
+	k := len(arenas.idle) - 1
+	if k < 0 {
+		return new(Arena)
+	}
+	a := arenas.idle[k]
+	arenas.idle[k] = nil
+	arenas.idle = arenas.idle[:k]
+	return a
+}
+
+// returnArena resets a and puts it on the free list; the caller must
+// have dropped every slice carved from it.
+func returnArena(a *Arena) {
+	a.Reset()
+	arenas.Lock()
+	arenas.idle = append(arenas.idle, a)
+	arenas.Unlock()
+}
+
 // Reset recycles all storage: every slice carved before the call is
-// up for reuse, so the caller must have dropped them.
+// up for reuse, so the caller must have dropped them. The row headers
+// are cleared, so an idle arena does not pin backing arrays it has
+// replaced.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	a.words.off = 0
-	a.ints.off = 0
-	a.sets.off = 0
-	a.rows.off = 0
-	a.ids.off = 0
+	clear(a.sets.buf[:a.sets.off])
+	clear(a.rows.buf[:a.rows.off])
+	a.words.reset()
+	a.ints.reset()
+	a.sets.reset()
+	a.rows.reset()
+	a.ids.reset()
 }
 
 type arenaPool[T any] struct {
-	buf []T
-	off int
+	buf  []T
+	off  int
+	used int // carved since the last reset, across every buffer
+}
+
+// reset makes buf available again. A pool that outgrew buf since the
+// last reset gets one buffer holding all of it, so the next call of
+// the same size carves without growing.
+func (p *arenaPool[T]) reset() {
+	if p.used > len(p.buf) {
+		p.buf = make([]T, p.used)
+	}
+	p.off, p.used = 0, 0
 }
 
 // grab carves a zeroed slice of length n (len == cap, so appends by
@@ -60,6 +120,7 @@ func grab[T any](p *arenaPool[T], n int) []T {
 	}
 	s := p.buf[p.off : p.off+n : p.off+n]
 	p.off += n
+	p.used += n
 	clear(s)
 	return s
 }

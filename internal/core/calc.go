@@ -7,18 +7,20 @@ import (
 	"repro/internal/stream"
 )
 
-// Calc is a reusable Cal_U calculator bound to one Analyzer: it owns a
-// scratch Arena and an element buffer that are recycled across calls,
-// so computing bounds for a whole set — or for the same set over and
-// over, as the sensitivity searches and the simulation-study period
-// inflation do — stops allocating once the buffers have warmed up.
+// Calc is a reusable Cal_U calculator bound to one Analyzer. It keeps
+// an element buffer across calls; each Cal_U call borrows a scratch
+// Arena from a process-wide free list and returns it when the call
+// returns, so computing bounds for a whole set — or for the same set
+// over and over, as the sensitivity searches and the simulation-study
+// period inflation do — stops allocating diagram buffers once the
+// arenas have warmed up, whether the caller keeps one Calc or makes a
+// fresh one per call.
 //
 // A Calc is not safe for concurrent use; DetermineFeasibilityParallel
 // gives every worker its own. The Analyzer methods of the same names
 // are one-shot conveniences that create a throwaway Calc.
 type Calc struct {
 	a     *Analyzer
-	ar    Arena
 	elems []Element // scratch rows handed to newDiagram, rebuilt per call
 }
 
@@ -59,8 +61,9 @@ func (c *Calc) CalU(id stream.ID) (int, error) {
 	if s == nil {
 		return 0, fmt.Errorf("core: no stream %d", id)
 	}
-	c.ar.Reset()
-	return calUBounded(c.elements(id), s.Latency, s.Deadline, &c.ar)
+	ar := borrowArena()
+	defer returnArena(ar)
+	return calUBounded(c.elements(id), s.Latency, s.Deadline, ar)
 }
 
 // calUBounded is the paper's Cal_U over elems with the deadline as
@@ -121,8 +124,9 @@ func (c *Calc) CalUHorizon(id stream.ID, horizon int) (int, error) {
 	if s == nil {
 		return 0, fmt.Errorf("core: no stream %d", id)
 	}
-	c.ar.Reset()
-	d, err := newDiagram(c.elements(id), horizon, &c.ar)
+	ar := borrowArena()
+	defer returnArena(ar)
+	d, err := newDiagram(c.elements(id), horizon, ar)
 	if err != nil {
 		return 0, err
 	}
@@ -193,8 +197,9 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	for firstHorizon-s.Latency < margin && firstHorizon <= maxHorizon/2 {
 		firstHorizon *= 2
 	}
-	c.ar.Reset()
-	init, err := newDiagram(elems, firstHorizon, &c.ar)
+	ar := borrowArena()
+	defer returnArena(ar)
+	init, err := newDiagram(elems, firstHorizon, ar)
 	if err != nil {
 		return 0, err
 	}
@@ -203,7 +208,7 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 		d := init
 		if hasIndirect {
 			if h <= maxHorizon/2 {
-				d = init.clone(&c.ar)
+				d = init.clone(ar)
 			}
 			d.Modify()
 		}
@@ -227,7 +232,7 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	// visited ones missed.
 	for h := firstHorizon; best < 0 && hasIndirect && h > h0; {
 		h /= 2
-		d, err := newDiagram(elems, h, &c.ar)
+		d, err := newDiagram(elems, h, ar)
 		if err != nil {
 			return 0, err
 		}
@@ -243,9 +248,8 @@ func (c *Calc) CalUSearch(id stream.ID) (int, error) {
 }
 
 // Feasibility runs the paper's Determine-Feasibility over the whole
-// set with this calculator's recycled buffers: U for every stream
-// (highest priority first), feasible iff every U exists and is at most
-// the stream's deadline.
+// set through CalU: U for every stream (highest priority first),
+// feasible iff every U exists and is at most the stream's deadline.
 func (c *Calc) Feasibility() (*Report, error) {
 	set := c.a.Set
 	rep := &Report{Feasible: true, Verdicts: make([]Verdict, set.Len())}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/stream"
 )
@@ -722,8 +721,7 @@ func (d *Diagram) modify(certify bool) int {
 		}
 	}
 	viaRows := d.ar.grabInts(len(d.Elements))[:0]
-	var delta, dsum bitset // relayout's scratch, borrowed on the first allocated release
-	var scratch *bitset
+	var delta, dsum bitset // relayout's scratch, carved on the first allocated release
 	for _, row := range d.morder {
 		e := &d.Elements[row]
 		viaRows = viaRows[:0]
@@ -759,8 +757,7 @@ func (d *Diagram) modify(certify bool) int {
 			if relAlloc := rel & alloc[w]; relAlloc != 0 {
 				alloc[w] &^= relAlloc
 				if delta == nil {
-					scratch = borrowScratch(d.words + wordsFor(d.words))
-					delta, dsum = (*scratch)[:d.words], (*scratch)[d.words:]
+					delta, dsum = d.ar.grabWords(d.words), d.ar.grabWords(wordsFor(d.words))
 				}
 				delta[w] = relAlloc
 				dsum[w>>6] |= 1 << uint(w&63)
@@ -801,27 +798,7 @@ func (d *Diagram) modify(certify bool) int {
 			}
 		}
 	}
-	if scratch != nil {
-		scratchPool.Put(scratch) // relayout left it zeroed
-	}
 	return f
-}
-
-// scratchPool recycles relayout's scratch (delta and dsum) between
-// Modify calls. Arenas live as long as their Calc, and the admission
-// daemon builds a fresh Calc for every batch, so scratch kept in an
-// arena would be allocated again for every batch: 260 KiB for a
-// diagram laid out to 2^21 slots.
-var scratchPool sync.Pool // of *bitset, zeroed
-
-// borrowScratch returns a zeroed bitset of n words from scratchPool.
-func borrowScratch(n int) *bitset {
-	if b, ok := scratchPool.Get().(*bitset); ok && cap(*b) >= n {
-		*b = (*b)[:n]
-		return b
-	}
-	b := make(bitset, n)
-	return &b
 }
 
 // release records that row released the slots rel of word w. A

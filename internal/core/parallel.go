@@ -16,9 +16,10 @@ import (
 // timing diagram, so the streams are embarrassingly parallel; results
 // are identical to the sequential test. workers <= 0 uses GOMAXPROCS.
 //
-// Each worker gets its own Calc, so the scratch arena behind the
-// diagram buffers is strictly goroutine-local and recycled across all
-// streams the worker processes.
+// Each worker gets its own Calc. Every Cal_U call borrows its scratch
+// arena from the shared free list and returns it before the worker
+// takes the next stream, so the diagram buffers never cross
+// goroutines while in use and are recycled across workers and calls.
 func DetermineFeasibilityParallel(set *stream.Set, workers int) (*Report, error) {
 	a, err := NewAnalyzer(set)
 	if err != nil {
@@ -55,8 +56,8 @@ func parallelFeasibility(set *stream.Set, workers int, calU func(stream.ID) (int
 
 // parallelFeasibilityPool is parallelFeasibility with a per-worker
 // calU factory: newCalU runs once in each worker goroutine, so a
-// stateful calculator (a Calc and its arena) is confined to that
-// worker without synchronization.
+// stateful calculator (a Calc and its element buffer) is confined to
+// that worker without synchronization.
 func parallelFeasibilityPool(set *stream.Set, workers int, newCalU func() func(stream.ID) (int, error)) (*Report, error) {
 	ids := make([]stream.ID, set.Len())
 	for i := range ids {
@@ -82,11 +83,11 @@ func parallelFeasibilityPool(set *stream.Set, workers int, newCalU func() func(s
 
 // CalUBatchParallel computes the delay upper bound of each of ids over
 // a pool of workers (workers <= 0 uses GOMAXPROCS); the returned slice
-// aligns with ids. Every worker holds its own Calc, so the scratch
-// arenas stay goroutine-local exactly as in
-// DetermineFeasibilityParallel. The incremental admission controller
-// (package admit) uses this to recompute only the dirty set of a
-// mutation (see Dependents) through the pooled path.
+// aligns with ids. Every worker holds its own Calc exactly as in
+// DetermineFeasibilityParallel, and its calls borrow pooled arenas, so
+// a batch reuses the scratch earlier batches grew. The incremental
+// admission controller (package admit) uses this to recompute only the
+// dirty set of a mutation (see Dependents) through the pooled path.
 //
 // The error semantics match the full parallel test: any failure yields
 // (nil, error), remaining jobs are skipped after the first failure, and

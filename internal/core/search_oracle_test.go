@@ -42,8 +42,9 @@ func CalUSearchDoubling(c *Calc, id stream.ID, maxHorizon int) (int, error) {
 	if h > maxHorizon {
 		return -1, nil
 	}
-	c.ar.Reset()
-	init, err := newDiagram(elems, h, &c.ar)
+	ar := borrowArena()
+	defer returnArena(ar)
+	init, err := newDiagram(elems, h, ar)
 	if err != nil {
 		return 0, err
 	}
@@ -51,7 +52,7 @@ func CalUSearchDoubling(c *Calc, id stream.ID, maxHorizon int) (int, error) {
 	for {
 		d := init
 		if hasIndirect {
-			d = init.clone(&c.ar)
+			d = init.clone(ar)
 			d.Modify()
 		}
 		if u := d.DelayUpperBound(s.Latency); u >= 0 {

@@ -220,9 +220,10 @@ func (c *Controller) rollback(name string) {
 }
 
 // Remove evicts an admitted job, freeing its nodes and withdrawing its
-// streams. The remaining traffic needs no full re-test: removing
-// streams only lowers interference, and the admission controller
-// tightens the affected bounds incrementally.
+// streams. The admission controller recomputes the affected bounds
+// incrementally. Removing streams lowers interference, but a bound can
+// still rise (admit.Controller.Withdraw; ROADMAP item 1), so the
+// remaining traffic is not guaranteed to stay feasible.
 func (c *Controller) Remove(name string) error {
 	p, ok := c.jobs[name]
 	if !ok {

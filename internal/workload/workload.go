@@ -129,14 +129,16 @@ func finish(set *stream.Set, a *core.Analyzer, cfg Config) (*stream.Set, *core.A
 const maxInflatePasses = 8
 
 // Inflate applies the paper's accommodation rule to set in place: if
-// U_i > T_i, raise T_i (and the deadline) to U_i. Raising periods only
-// lowers interference, so a bound computed against the heavier
-// pre-inflation demand remains valid; passes over the set in ID order
-// reach a fixpoint, and at most eight are made. Streams with no bound
-// within ucap flit times (0 means 65536, as for Config.UCap) have their
-// periods quadrupled instead, turning them into sporadic background
-// traffic. It returns every stream's CalUSearchCap(id, ucap) against
-// the final periods, indexed by stream ID.
+// U_i > T_i, raise T_i (and the deadline) to U_i. Raising a period
+// lowers interference, yet a bound it feeds can rise (a sparser
+// indirect element can raise U; ROADMAP item 1), so no bound computed
+// before a change is kept: passes over the set in ID order recompute
+// what a change can move until a fixpoint, and at most eight are made.
+// Streams with no bound within ucap flit times (0 means 65536, as for
+// Config.UCap) have their periods quadrupled instead, turning them
+// into sporadic background traffic. It returns every stream's
+// CalUSearchCap(id, ucap) against the final periods, indexed by stream
+// ID.
 //
 // a must be an analyzer of set, and it stays one: HP sets depend only
 // on paths and priorities, and Cal_U reads periods from the set. A
