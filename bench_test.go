@@ -574,13 +574,16 @@ func BenchmarkSimulator(b *testing.B) {
 // same workload, same horizon, same metric, so the cycles/s ratio
 // between the two entries in BENCH_core.json is the engine speedup.
 // The differential battery in internal/eventsim pins the two engines'
-// results byte-identical on this exact workload.
+// results byte-identical on this exact workload. kernel-cycles/op is
+// the component-cycles stepped in the cycle kernel rather than folded:
+// deterministic, so host noise cannot move it.
 func BenchmarkEventSim(b *testing.B) {
 	set, _, err := workload.Generate(workload.PaperDefaults(20, 4, 555))
 	if err != nil {
 		b.Fatal(err)
 	}
 	const cycles = 30000
+	stepped := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := eventsim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
@@ -588,8 +591,10 @@ func BenchmarkEventSim(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.Run()
+		stepped += s.KernelCycles()
 	}
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+	b.ReportMetric(float64(stepped)/float64(b.N), "kernel-cycles/op")
 }
 
 // BenchmarkMCReplications measures Monte-Carlo study throughput: 8

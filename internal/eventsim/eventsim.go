@@ -26,17 +26,17 @@
 //     every in-flight message is free-flowing, the component jumps
 //     straight from event to event (releases, deliveries, deadline
 //     drops); the moment a release would overlap an occupancy window,
-//     the component falls back to the exact cycle kernel — a
-//     per-component port of package sim's loop — and returns to jump
-//     mode only when the component's kernel drains: when every
-//     message it holds has retired.
+//     the component hands its flights to its sim.Kernel — package
+//     sim's own cycle kernel over the component's streams — steps it
+//     cycle by cycle, and returns to jump mode only when the kernel
+//     drains: when every message it holds has retired.
 //
 // The fallback rule is deliberately conservative: window overlap does
 // not always mean a flit-level stall, but free flow is only assumed
 // when overlap is impossible, so jump mode never has to approximate
-// an arbitration. Everything contended runs through the ported cycle
-// kernel, which is why the statistics come out identical rather than
-// merely close.
+// an arbitration. Everything contended runs through the oracle's own
+// cycle kernel, which is why the statistics come out identical rather
+// than merely close.
 //
 // A positive Set.RouterLatency disables jump mode (the staircase forms
 // assume single-cycle routers); such runs still benefit from component
@@ -84,41 +84,6 @@ func New(set *stream.Set, cfg sim.Config) (*Simulator, error) {
 	s := &Simulator{set: set, cfg: c, res: sim.NewResult(set, c)}
 	s.sched = newSchedule(set, c)
 
-	// Priority levels, ascending: index 0 is the lowest (as sim.New).
-	prioIdx := make(map[int]int)
-	levels := set.PriorityLevels() // descending
-	for i, p := range levels {
-		prioIdx[p] = len(levels) - 1 - i
-	}
-	vcsPerLink := len(levels)
-	if c.Arbiter == sim.NonPreemptiveFIFO || c.Arbiter == sim.NonPreemptivePriority {
-		vcsPerLink = 1
-	}
-
-	// Channels in the cycle engine's scan order (sorted by From, To);
-	// per-component links keep this relative order so the flit-movement
-	// sweep visits winners in the same sequence as the oracle.
-	seen := make(map[topology.Channel]bool)
-	var chans []topology.Channel
-	for _, st := range set.Streams {
-		for _, ch := range st.Path.Channels {
-			if !seen[ch] {
-				seen[ch] = true
-				chans = append(chans, ch)
-			}
-		}
-	}
-	sort.Slice(chans, func(i, j int) bool {
-		if chans[i].From != chans[j].From {
-			return chans[i].From < chans[j].From
-		}
-		return chans[i].To < chans[j].To
-	})
-	scanOrd := make(map[topology.Channel]int, len(chans))
-	for i, ch := range chans {
-		scanOrd[ch] = i
-	}
-
 	// Conflict components: union streams that share any channel.
 	parent := make([]int, set.Len())
 	for i := range parent {
@@ -155,23 +120,29 @@ func New(set *stream.Set, cfg sim.Config) (*Simulator, error) {
 
 	for _, r := range roots {
 		ids := members[r] // ascending: appended in stream order
-		s.comps = append(s.comps, newComp(s, ids, scanOrd, prioIdx, vcsPerLink))
+		s.comps = append(s.comps, newComp(s, ids))
 	}
 	return s, nil
 }
 
-// Run simulates every conflict component to completion and merges the
-// per-component statistics. Per-stream and per-channel entries never
-// overlap between components, so the merge is a disjoint union; only
-// the scalar tallies need summing.
+// Run simulates every conflict component to completion. Components
+// write into one Result: their per-stream and per-channel entries never
+// overlap, Unfinished sums, and FirstDeadlockCycle keeps the earliest.
 func (s *Simulator) Run() *sim.Result {
 	for _, c := range s.comps {
 		c.run()
-		s.res.Unfinished += c.unfinished
-		if c.firstDeadlock >= 0 &&
-			(s.res.FirstDeadlockCycle < 0 || c.firstDeadlock < s.res.FirstDeadlockCycle) {
-			s.res.FirstDeadlockCycle = c.firstDeadlock
-		}
 	}
 	return s.res
+}
+
+// KernelCycles returns the cycles Run stepped in a component's cycle
+// kernel, summed over components; every other component-cycle was
+// folded in jump mode, skipped idle, or folded whole by the solo path.
+// It depends on the stream set and configuration alone.
+func (s *Simulator) KernelCycles() int {
+	n := 0
+	for _, c := range s.comps {
+		n += c.steps
+	}
+	return n
 }

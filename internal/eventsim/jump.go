@@ -58,12 +58,7 @@ func freeLat(H, C, depth int) int {
 // kernel at that cycle instead.
 func (c *comp) jumpStep() {
 	cycles := c.cfg.Cycles
-	t := cycles
-	for li := range c.streams {
-		if c.nextRel[li] < t {
-			t = c.nextRel[li]
-		}
-	}
+	t := c.nextRelease()
 	for _, f := range c.flights {
 		e := f.deliver
 		if f.drop >= 0 && f.drop < e {
@@ -77,7 +72,7 @@ func (c *comp) jumpStep() {
 		t = c.reentry
 	}
 	if t >= cycles {
-		c.now = cycles
+		c.k.SetNow(cycles)
 		return
 	}
 	if t == c.reentry {
@@ -121,7 +116,7 @@ func (c *comp) jumpStep() {
 		}
 	}
 	c.flights = kept
-	c.now = t + 1
+	c.k.SetNow(t + 1)
 }
 
 // conflicts returns the first cycle at which a release of local stream
@@ -162,8 +157,7 @@ func (c *comp) addFlight(li, t int) {
 	if c.cfg.DropLate && c.lat[li] >= st.Deadline+2 {
 		f.drop = t + st.Deadline + 1
 	}
-	c.nextSeq[li]++
-	c.nextRel[li], c.relIdx[li] = c.sched.advance(c.gidx[li], c.nextRel[li], c.relIdx[li])
+	c.consumeRelease(li)
 	c.flights = append(c.flights, f)
 }
 
@@ -180,8 +174,8 @@ func (c *comp) deliverFlight(f flight) {
 		ps.Observe(lat, st.Deadline)
 		ps.ProgressCycles += lat - 1
 	}
-	for _, l := range c.pathLinks[f.li] {
-		l.flits += st.Length
+	for i := 0; i < st.Path.Hops(); i++ {
+		c.k.AddFlits(f.li, i, st.Length)
 	}
 }
 
@@ -200,8 +194,8 @@ func (c *comp) creditFlight(f flight, t int) {
 	st := c.streams[f.li]
 	H, C := st.Path.Hops(), st.Length
 	a := t - f.t0
-	for i, l := range c.pathLinks[f.li] {
-		l.flits += stairCrossed(a, i, C, c.depth, H)
+	for i := 0; i < H; i++ {
+		c.k.AddFlits(f.li, i, stairCrossed(a, i, C, c.cfg.BufferDepth, H))
 	}
 	if f.t0 >= c.cfg.Warmup {
 		c.res.PerStream[st.ID].ProgressCycles += a
@@ -226,7 +220,7 @@ func (c *comp) orderKey(f flight, t int) flightOrder {
 		i = a
 	}
 	if i >= 1 {
-		return flightOrder{cycle: f.t0 + i - 1, phase: 2, tie: int(c.pathOrds[f.li][i-1])}
+		return flightOrder{cycle: f.t0 + i - 1, phase: 2, tie: c.k.Ord(f.li, i-1)}
 	}
 	return flightOrder{cycle: f.t0, phase: 0, tie: f.li}
 }
@@ -244,10 +238,10 @@ func orderLess(a, b flightOrder) bool {
 // enterCycleMode materialises every flight into exact kernel state at
 // the start of cycle t and switches the component to cycle stepping.
 // The release that triggered the fallback has not been consumed; the
-// kernel's own release phase will issue it this same cycle, after the
+// cycle loop's release will issue it this same cycle, after the
 // (earlier-stream) flights released at t, which is the oracle's order.
 func (c *comp) enterCycleMode(t int) {
-	c.now = t
+	c.k.SetNow(t)
 	c.reentry = farCycle
 	// Stamp issuing order, computed with scratch buffers and an
 	// insertion sort: re-entries are frequent and flight counts tiny,
@@ -274,8 +268,7 @@ func (c *comp) enterCycleMode(t int) {
 		idx[j] = v
 	}
 	for _, fi := range idx {
-		c.stamp++
-		stamps[fi] = c.stamp
+		stamps[fi] = c.k.NextStamp()
 	}
 	// Materialise in flight (= release) order so the kernel's active
 	// list comes out in the order the oracle maintains it.
@@ -285,43 +278,16 @@ func (c *comp) enterCycleMode(t int) {
 	c.flights = c.flights[:0]
 }
 
-// materialize reconstructs the exact kernel state of one free-flowing
-// message at the start of cycle t: flit counts, the held-VC range
-// (under every arbiter a free-flowing header is granted the VC its
-// scheme assigns: its own priority level for Preemptive/Li, VC 0 for
-// the single-channel schemes), the pending header registration, and
-// the already-earned statistics.
+// materialize hands the kernel one free-flowing message at the start
+// of cycle t, at its staircase position, and books the statistics it
+// earned in flight.
 func (c *comp) materialize(f flight, stamp int64, t int) {
 	st := c.streams[f.li]
-	m := c.newMessage(f.li, f.seq, f.t0)
-	m.arrival = stamp
 	H, C := st.Path.Hops(), st.Length
-	a := t - f.t0
+	c.crossed = c.crossed[:0]
 	for i := 0; i < H; i++ {
-		m.crossed[i] = stairCrossed(a, i, C, c.depth, H)
+		c.crossed = append(c.crossed, stairCrossed(t-f.t0, i, C, c.cfg.BufferDepth, H))
 	}
-	vc := 0
-	if c.schemeVC {
-		vc = m.prio
-	}
-	lo := 0
-	for lo < H && m.crossed[lo] >= C {
-		lo++
-	}
-	m.lo = lo
-	for i := lo; i < H; i++ {
-		if m.crossed[i] > 0 && m.crossed[i] < C {
-			m.vcHeld[i] = vc
-			c.pathLinks[f.li][i].vcs[vc].owner = m
-		}
-	}
-	h := lo
-	for h < H && m.crossed[h] > 0 {
-		h++
-	}
-	if h < H {
-		c.addPending(m.links[h], m)
-	}
-	c.active = append(c.active, m)
+	c.k.Inject(f.li, f.seq, f.t0, stamp, c.crossed)
 	c.creditFlight(f, t)
 }

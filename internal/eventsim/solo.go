@@ -1,7 +1,5 @@
 package eventsim
 
-import "repro/internal/sim"
-
 // runSolo is the batched fast path for a single-stream component whose
 // release gap can never overlap its own occupancy window (period >=
 // wl, and sporadic jitter only widens gaps). Every message then flies
@@ -21,9 +19,8 @@ func (c *comp) runSolo() bool {
 	if st.Period < wl {
 		return false
 	}
-	cycles, warmup := c.cfg.Cycles, c.cfg.Warmup
+	cycles, warmup, depth := c.cfg.Cycles, c.cfg.Warmup, c.cfg.BufferDepth
 	ps := &c.res.PerStream[st.ID]
-	links := c.pathLinks[0]
 	H, C := st.Path.Hops(), st.Length
 	// A message drops at age Deadline+1 only if it is still in flight
 	// then (addFlight's rule); with constant latency that is a constant
@@ -33,17 +30,16 @@ func (c *comp) runSolo() bool {
 	if drop {
 		dropFlits = make([]int, H)
 		for i := 0; i < H; i++ {
-			dropFlits[i] = stairCrossed(st.Deadline+1, i, C, c.depth, H)
+			dropFlits[i] = stairCrossed(st.Deadline+1, i, C, depth, H)
 		}
 	}
-	unfinished := 0
 	rel, idx := c.nextRel[0], c.relIdx[0]
 	for rel < cycles {
 		ps.Generated++
 		switch {
 		case drop && rel+st.Deadline+1 < cycles:
-			for i, l := range links {
-				l.flits += dropFlits[i]
+			for i, n := range dropFlits {
+				c.k.AddFlits(0, i, n)
 			}
 			if rel >= warmup {
 				ps.ProgressCycles += st.Deadline + 1
@@ -52,33 +48,25 @@ func (c *comp) runSolo() bool {
 		case drop || rel+lat-1 >= cycles:
 			// Still in flight when the horizon (or, for a dropper, a
 			// drop cycle at/after the horizon) cuts the run short.
-			for i, l := range links {
-				l.flits += stairCrossed(cycles-rel, i, C, c.depth, H)
+			for i := 0; i < H; i++ {
+				c.k.AddFlits(0, i, stairCrossed(cycles-rel, i, C, depth, H))
 			}
 			if rel >= warmup {
 				ps.ProgressCycles += cycles - rel
 			}
 			ps.Unfinished++
-			unfinished++
+			c.res.Unfinished++
 		default:
 			ps.Delivered++
 			if rel >= warmup {
 				ps.Observe(lat, st.Deadline)
 				ps.ProgressCycles += lat - 1
 			}
-			for _, l := range links {
-				l.flits += C
+			for i := 0; i < H; i++ {
+				c.k.AddFlits(0, i, C)
 			}
 		}
-		rel, idx = c.sched.advance(c.gidx[0], rel, idx)
-	}
-	c.nextRel[0], c.relIdx[0] = rel, idx
-	c.now = cycles
-	c.unfinished = unfinished
-	for _, l := range c.links {
-		if l.flits > 0 {
-			c.res.PerChannel[l.ch] = sim.ChannelStats{BusyCycles: l.flits, Flits: l.flits}
-		}
+		rel, idx = c.sched.advance(c.ids[0], rel, idx)
 	}
 	return true
 }

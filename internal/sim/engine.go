@@ -11,36 +11,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Simulator runs one wormhole network simulation for a stream set.
+// Simulator runs one wormhole network simulation for a stream set: one
+// Kernel over every stream, fed by the periodic (or sporadic) release
+// schedule.
 type Simulator struct {
-	set *stream.Set
-	cfg Config
-
-	links     map[topology.Channel]*link
-	linkOrder []*link
-	pathLinks [][]*link   // per stream: the link at each hop of its path
-	pathOrds  [][]int32   // per stream: the ordinal of each path link
-	prioIdx   map[int]int // priority value -> VC level index (0 = lowest)
-	levels    int
-
-	// Per-link-ordinal arbitration state for the current cycle: bit
-	// ord of candMask marks that candBest[ord] was folded this cycle
-	// (collectCandidates); moveFlits consumes the mask word by word,
-	// visiting winners in ascending ordinal order, and clears it for
-	// the next cycle. The word sweep touches a handful of cache lines
-	// regardless of how many links the network has.
-	candMask []uint64
-	candBest []candidate
-
-	active  []*message
-	retired []*message // delivered/dropped this cycle, pooled at cycle end
-	free    []*message // recycled message instances
-	waiting []*link    // links with headers pending a VC (see link.queued)
-	nextRel []int      // per stream: next release time
+	set     *stream.Set
+	cfg     Config
+	k       *Kernel
+	nextRel []int // per stream: next release time
 	nextSeq []int
-	stamp   int64
-	now     int
-	rl      int // per-hop router pipeline depth (set.RouterLatency)
 	jitter  *rand.Rand
 	stats   *Result
 }
@@ -57,72 +36,19 @@ func New(set *stream.Set, cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	ids := make([]int, set.Len())
+	for i := range ids {
+		ids[i] = i
+	}
 	s := &Simulator{
 		set:     set,
 		cfg:     c,
-		links:   make(map[topology.Channel]*link),
-		prioIdx: make(map[int]int),
 		nextRel: make([]int, set.Len()),
 		nextSeq: make([]int, set.Len()),
-		rl:      set.RouterLatency,
 		jitter:  rand.New(rand.NewSource(c.JitterSeed)),
 		stats:   NewResult(set, c),
 	}
-	// Priority levels, ascending: index 0 is the lowest priority.
-	levels := set.PriorityLevels() // descending
-	for i, p := range levels {
-		s.prioIdx[p] = len(levels) - 1 - i
-	}
-	s.levels = len(levels)
-	vcsPerLink := s.levels
-	if c.Arbiter == NonPreemptiveFIFO || c.Arbiter == NonPreemptivePriority {
-		vcsPerLink = 1
-	}
-	// Only channels actually used by some path need router state.
-	seen := make(map[topology.Channel]bool)
-	var chans []topology.Channel
-	for _, st := range set.Streams {
-		for _, ch := range st.Path.Channels {
-			if !seen[ch] {
-				seen[ch] = true
-				chans = append(chans, ch)
-			}
-		}
-	}
-	sort.Slice(chans, func(i, j int) bool {
-		if chans[i].From != chans[j].From {
-			return chans[i].From < chans[j].From
-		}
-		return chans[i].To < chans[j].To
-	})
-	// One contiguous allocation in scan order: the cycle loop walks
-	// the links linearly, so adjacency matters.
-	arr := make([]link, len(chans))
-	for i, ch := range chans {
-		arr[i] = link{ch: ch, vcs: make([]vc, vcsPerLink)}
-		s.links[ch] = &arr[i]
-		s.linkOrder = append(s.linkOrder, &arr[i])
-	}
-	s.candMask = make([]uint64, (len(chans)+63)/64)
-	s.candBest = make([]candidate, len(chans))
-	// Hot paths index links by stream and hop instead of hashing
-	// 16-byte Channel keys every cycle.
-	s.pathLinks = make([][]*link, set.Len())
-	s.pathOrds = make([][]int32, set.Len())
-	ordOf := make(map[topology.Channel]int32, len(chans))
-	for i, ch := range chans {
-		ordOf[ch] = int32(i)
-	}
-	for _, st := range set.Streams {
-		hop := make([]*link, len(st.Path.Channels))
-		ords := make([]int32, len(st.Path.Channels))
-		for i, ch := range st.Path.Channels {
-			hop[i] = s.links[ch]
-			ords[i] = ordOf[ch]
-		}
-		s.pathLinks[st.ID] = hop
-		s.pathOrds[st.ID] = ords
-	}
+	s.k = NewKernel(set, ids, c, s.stats)
 	if c.Offsets != nil {
 		copy(s.nextRel, c.Offsets)
 	}
@@ -132,57 +58,233 @@ func New(set *stream.Set, cfg Config) (*Simulator, error) {
 // Run simulates the configured number of cycles and returns the
 // collected statistics.
 func (s *Simulator) Run() *Result {
-	for s.now = 0; s.now < s.cfg.Cycles; s.now++ {
+	for s.k.Now() < s.cfg.Cycles {
 		s.release()
-		if s.cfg.DropLate {
-			s.dropLate()
-		}
-		if s.rl > 0 {
-			s.promote()
-		}
-		s.assignVCs()
-		s.collectCandidates()
-		s.moveFlits()
-		s.accountStalls()
-		// A link's best-candidate slot may still point at a message
-		// retired this cycle, but moveFlits has already consumed and
-		// cleared its mask bit, so the slot is never dereferenced
-		// again and the instances are safe to reissue from the next
-		// cycle on.
-		s.free = append(s.free, s.retired...)
-		s.retired = s.retired[:0]
+		s.k.Step()
 	}
-	s.stats.Unfinished = len(s.active)
-	for _, m := range s.active {
-		s.stats.PerStream[m.s.ID].Unfinished++
-	}
-	// Flush the per-link activity counters; only channels that carried
-	// a flit appear in the map, as when it was updated per crossing.
-	for _, l := range s.linkOrder {
-		if l.flits > 0 {
-			s.stats.PerChannel[l.ch] = ChannelStats{BusyCycles: l.busy, Flits: l.flits}
-		}
-	}
+	s.k.Finish()
 	return s.stats
 }
 
-// release activates every message whose release time is the current
-// cycle and enqueues its header at the first channel of its path.
+// release hands the kernel every message whose release time is the
+// current cycle, drawing each sporadic gap as it goes (in stream order
+// within a cycle, the order package eventsim replays).
 func (s *Simulator) release() {
+	now := s.k.Now()
 	for i, st := range s.set.Streams {
-		for s.nextRel[i] <= s.now {
-			m := s.newMessage(st, s.nextSeq[i], s.nextRel[i])
-			s.stamp++
-			m.arrival = s.stamp
+		for s.nextRel[i] <= now {
+			s.k.Release(i, s.nextSeq[i], s.nextRel[i])
 			s.nextSeq[i]++
 			s.nextRel[i] += st.Period
 			if s.cfg.SporadicJitter > 0 {
 				s.nextRel[i] += s.jitter.Intn(s.cfg.SporadicJitter + 1)
 			}
-			s.active = append(s.active, m)
-			s.stats.PerStream[st.ID].Generated++
-			s.addPending(m.links[0], m)
-			s.trace(trace.Event{Cycle: s.now, Kind: trace.Release, Stream: st.ID, Seq: m.seq})
+		}
+	}
+}
+
+// Kernel is the exact cycle-level wormhole engine over a subset of a
+// stream set: the links the subset's paths use, the messages it holds,
+// and one Step per flit time. Simulator steps one Kernel over every
+// stream; package eventsim steps one per conflict component while its
+// messages contend. A stream's local index is its position in the ids
+// passed to NewKernel. Releases are the caller's: the kernel only
+// issues the messages it is handed.
+type Kernel struct {
+	cfg     Config
+	stats   *Result
+	streams []*stream.Stream // per local index
+
+	// One contiguous array in scan order (channels sorted by From, To):
+	// the cycle loop walks the links linearly, so adjacency matters.
+	// Restricted to a subset of streams, the order is the full network's.
+	links     []link
+	pathLinks [][]*link // per local stream: the link at each hop of its path
+	pathOrds  [][]int32 // per local stream: the ordinal of each path link
+	prio      []int     // per local stream: VC level index (0 = lowest)
+
+	// Per-link-ordinal arbitration state for the current cycle: bit
+	// ord of candMask marks that candBest[ord] was folded this cycle
+	// (collectCandidates); moveFlits consumes the mask word by word,
+	// visiting winners in ascending ordinal order, and clears it for
+	// the next cycle. The word sweep touches a handful of cache lines
+	// regardless of how many links the network has.
+	candMask []uint64
+	candBest []candidate
+
+	active  []*message
+	retired []*message // delivered/dropped this cycle, pooled at cycle end
+	free    []*message // recycled message instances
+	waiting []*link    // links with headers pending a VC (see link.queued)
+	stamp   int64
+	now     int
+	rl      int // per-hop router pipeline depth (set.RouterLatency)
+}
+
+// NewKernel builds the kernel of the streams ids (ascending) of set.
+// cfg must have passed through WithDefaults; statistics land in res
+// under each stream's global ID. Priority levels and VCs per link come
+// from the whole set, not from ids: Li's scheme lets a header take any
+// free VC at or below its level, so the VCs below it matter.
+func NewKernel(set *stream.Set, ids []int, cfg Config, res *Result) *Kernel {
+	k := &Kernel{cfg: cfg, stats: res, rl: set.RouterLatency}
+	levels := set.PriorityLevels() // descending
+	vcsPerLink := len(levels)
+	if cfg.Arbiter == NonPreemptiveFIFO || cfg.Arbiter == NonPreemptivePriority {
+		vcsPerLink = 1
+	}
+	// Only channels some path of the subset uses need router state.
+	var chans []topology.Channel
+	k.streams = make([]*stream.Stream, len(ids))
+	k.prio = make([]int, len(ids))
+	for li, id := range ids {
+		st := set.Get(stream.ID(id))
+		k.streams[li] = st
+		i := sort.Search(len(levels), func(i int) bool { return levels[i] <= st.Priority })
+		k.prio[li] = len(levels) - 1 - i
+		chans = append(chans, st.Path.Channels...)
+	}
+	less := func(a, b topology.Channel) bool {
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.To < b.To
+	}
+	sort.Slice(chans, func(i, j int) bool { return less(chans[i], chans[j]) })
+	n := 0
+	for i, ch := range chans {
+		if i == 0 || ch != chans[n-1] {
+			chans[n] = ch
+			n++
+		}
+	}
+	chans = chans[:n]
+	k.links = make([]link, n)
+	for i, ch := range chans {
+		k.links[i] = link{ch: ch, vcs: make([]vc, vcsPerLink)}
+	}
+	k.candMask = make([]uint64, (n+63)/64)
+	k.candBest = make([]candidate, n)
+	// Hot paths index links by stream and hop instead of hashing
+	// 16-byte Channel keys every cycle.
+	k.pathLinks = make([][]*link, len(ids))
+	k.pathOrds = make([][]int32, len(ids))
+	for li, st := range k.streams {
+		hop := make([]*link, len(st.Path.Channels))
+		ords := make([]int32, len(st.Path.Channels))
+		for i, ch := range st.Path.Channels {
+			ord := sort.Search(n, func(j int) bool { return !less(chans[j], ch) })
+			hop[i] = &k.links[ord]
+			ords[i] = int32(ord)
+		}
+		k.pathLinks[li] = hop
+		k.pathOrds[li] = ords
+	}
+	return k
+}
+
+// Now returns the current cycle.
+func (k *Kernel) Now() int { return k.now }
+
+// SetNow moves the clock to cycle t; a caller skips cycles in which the
+// kernel holds nothing.
+func (k *Kernel) SetNow(t int) { k.now = t }
+
+// Drained reports whether the kernel holds no message. A drained kernel
+// holds no VC and no pending header either.
+func (k *Kernel) Drained() bool { return len(k.active) == 0 }
+
+// NextStamp issues the next arrival stamp (the FIFO tie-breaker).
+func (k *Kernel) NextStamp() int64 {
+	k.stamp++
+	return k.stamp
+}
+
+// Ord returns the scan ordinal of the link at hop of local stream li.
+func (k *Kernel) Ord(li, hop int) int { return int(k.pathOrds[li][hop]) }
+
+// AddFlits books n crossings of the link at hop of local stream li that
+// happened outside the kernel.
+func (k *Kernel) AddFlits(li, hop, n int) { k.pathLinks[li][hop].flits += n }
+
+// Release activates message seq of local stream li, generated at
+// genTime, and enqueues its header at the first channel of its path.
+func (k *Kernel) Release(li, seq, genTime int) {
+	m := k.newMessage(li, seq, genTime)
+	m.arrival = k.NextStamp()
+	k.active = append(k.active, m)
+	k.stats.PerStream[m.s.ID].Generated++
+	k.addPending(m.links[0], m)
+	k.trace(trace.Event{Cycle: k.now, Kind: trace.Release, Stream: m.s.ID, Seq: m.seq})
+}
+
+// Inject places a free-flowing message of local stream li mid-path at
+// the start of the current cycle: crossed[i] flits have crossed hop i.
+// Every hop it occupies holds the VC its scheme grants (its own level
+// for Preemptive and Li, VC 0 otherwise), and a header not yet through
+// waits for a VC with the given arrival stamp. Statistics already
+// earned are the caller's to book. Requires RouterLatency 0.
+func (k *Kernel) Inject(li, seq, genTime int, arrival int64, crossed []int) {
+	if k.rl > 0 {
+		panic("sim: Inject with a router pipeline")
+	}
+	m := k.newMessage(li, seq, genTime)
+	m.arrival = arrival
+	copy(m.crossed, crossed)
+	v := 0
+	if k.cfg.Arbiter == Preemptive || k.cfg.Arbiter == Li {
+		v = m.prio
+	}
+	H, C := m.hops(), m.s.Length
+	for m.lo < H && m.crossed[m.lo] >= C {
+		m.lo++
+	}
+	for i := m.lo; i < H && m.crossed[i] > 0; i++ {
+		if m.crossed[i] < C {
+			m.vcHeld[i] = v
+			m.links[i].vcs[v].owner = m
+		}
+	}
+	if h := m.headerAt(); h < H {
+		k.addPending(m.links[h], m)
+	}
+	k.active = append(k.active, m)
+}
+
+// Step runs one cycle: deadline drops, the router pipeline, VC
+// allocation, arbitration and flit movement, stall accounting, then
+// message recycling and the clock.
+func (k *Kernel) Step() {
+	if k.cfg.DropLate {
+		k.dropLate()
+	}
+	if k.rl > 0 {
+		k.promote()
+	}
+	k.assignVCs()
+	k.collectCandidates()
+	k.moveFlits()
+	k.accountStalls()
+	// A link's best-candidate slot may still point at a message retired
+	// this cycle, but moveFlits has already consumed and cleared its
+	// mask bit, so the slot is never dereferenced again and the
+	// instances are safe to reissue from the next cycle on.
+	k.free = append(k.free, k.retired...)
+	k.retired = k.retired[:0]
+	k.now++
+}
+
+// Finish books the messages still in flight as unfinished and flushes
+// the per-link activity counters; only channels that carried a flit
+// appear in the map, as when it was updated per crossing.
+func (k *Kernel) Finish() {
+	k.stats.Unfinished += len(k.active)
+	for _, m := range k.active {
+		k.stats.PerStream[m.s.ID].Unfinished++
+	}
+	for i := range k.links {
+		if l := &k.links[i]; l.flits > 0 {
+			k.stats.PerChannel[l.ch] = ChannelStats{Flits: l.flits}
 		}
 	}
 }
@@ -190,16 +292,17 @@ func (s *Simulator) release() {
 // newMessage issues a message instance, recycling a retired one when
 // available. The per-hop counters share one backing array; both it and
 // the message struct survive recycling.
-func (s *Simulator) newMessage(st *stream.Stream, seq, genTime int) *message {
+func (k *Kernel) newMessage(li, seq, genTime int) *message {
+	st := k.streams[li]
 	hops := st.Path.Hops()
 	n := 2 * hops
-	if s.rl > 0 {
+	if k.rl > 0 {
 		n = 3 * hops
 	}
 	var m *message
-	if k := len(s.free); k > 0 {
-		m = s.free[k-1]
-		s.free = s.free[:k-1]
+	if j := len(k.free); j > 0 {
+		m = k.free[j-1]
+		k.free = k.free[:j-1]
 	} else {
 		m = &message{}
 	}
@@ -213,16 +316,16 @@ func (s *Simulator) newMessage(st *stream.Stream, seq, genTime int) *message {
 	inflight := m.inflight
 	*m = message{
 		s:       st,
-		links:   s.pathLinks[st.ID],
-		ords:    s.pathOrds[st.ID],
+		links:   k.pathLinks[li],
+		ords:    k.pathOrds[li],
 		buf:     buf,
 		seq:     seq,
 		genTime: genTime,
 		crossed: buf[0:hops:hops],
 		vcHeld:  buf[hops : 2*hops : 2*hops],
-		prio:    s.prioIdx[st.Priority],
+		prio:    k.prio[li],
 	}
-	if s.rl > 0 {
+	if k.rl > 0 {
 		m.visible = buf[2*hops : 3*hops : 3*hops]
 		if cap(inflight) < hops {
 			inflight = make([][]int, hops)
@@ -242,11 +345,11 @@ func (s *Simulator) newMessage(st *stream.Stream, seq, genTime int) *message {
 
 // addPending enqueues a header waiting for a VC on l and registers l
 // in the waiting list assignVCs works from.
-func (s *Simulator) addPending(l *link, m *message) {
+func (k *Kernel) addPending(l *link, m *message) {
 	l.pending = append(l.pending, m)
 	if !l.queued {
 		l.queued = true
-		s.waiting = append(s.waiting, l)
+		k.waiting = append(k.waiting, l)
 	}
 }
 
@@ -256,24 +359,24 @@ func (s *Simulator) addPending(l *link, m *message) {
 // list here. Per-link assignment is independent of the visit order, so
 // working in list order rather than sorted link order changes nothing
 // observable.
-func (s *Simulator) assignVCs() {
-	kept := s.waiting[:0]
-	for _, l := range s.waiting {
+func (k *Kernel) assignVCs() {
+	kept := k.waiting[:0]
+	for _, l := range k.waiting {
 		if len(l.pending) == 0 {
 			l.queued = false
 			continue
 		}
-		switch s.cfg.Arbiter {
+		switch k.cfg.Arbiter {
 		case Preemptive:
 			// Each header may only take the VC of its own priority.
-			s.sortPending(l, true)
+			sortPending(l, true)
 			rest := l.pending[:0]
 			for _, m := range l.pending {
-				idx := s.pathIndex(m, l)
+				idx := pathIndex(m, l)
 				if l.vcs[m.prio].owner == nil {
 					l.vcs[m.prio].owner = m
 					m.vcHeld[idx] = m.prio
-					s.trace(trace.Event{Cycle: s.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: m.prio})
+					k.trace(trace.Event{Cycle: k.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: m.prio})
 				} else {
 					rest = append(rest, m)
 				}
@@ -282,10 +385,10 @@ func (s *Simulator) assignVCs() {
 		case Li:
 			// A header may take the highest free VC numbered at or
 			// below its priority.
-			s.sortPending(l, true)
+			sortPending(l, true)
 			rest := l.pending[:0]
 			for _, m := range l.pending {
-				idx := s.pathIndex(m, l)
+				idx := pathIndex(m, l)
 				got := -1
 				for v := m.prio; v >= 0; v-- {
 					if l.vcs[v].owner == nil {
@@ -296,21 +399,21 @@ func (s *Simulator) assignVCs() {
 				if got >= 0 {
 					l.vcs[got].owner = m
 					m.vcHeld[idx] = got
-					s.trace(trace.Event{Cycle: s.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: got})
+					k.trace(trace.Event{Cycle: k.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: got})
 				} else {
 					rest = append(rest, m)
 				}
 			}
 			l.pending = rest
 		case NonPreemptiveFIFO, NonPreemptivePriority:
-			s.sortPending(l, s.cfg.Arbiter == NonPreemptivePriority)
+			sortPending(l, k.cfg.Arbiter == NonPreemptivePriority)
 			if l.vcs[0].owner == nil {
 				m := l.pending[0]
-				idx := s.pathIndex(m, l)
+				idx := pathIndex(m, l)
 				l.vcs[0].owner = m
 				m.vcHeld[idx] = 0
 				l.pending = l.pending[1:]
-				s.trace(trace.Event{Cycle: s.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: 0})
+				k.trace(trace.Event{Cycle: k.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: 0})
 			}
 		}
 		if len(l.pending) > 0 {
@@ -319,7 +422,7 @@ func (s *Simulator) assignVCs() {
 			l.queued = false
 		}
 	}
-	s.waiting = kept
+	k.waiting = kept
 }
 
 // sortPending orders a link's waiting headers: by priority (descending)
@@ -328,7 +431,7 @@ func (s *Simulator) assignVCs() {
 // so a stable insertion sort beats sort.SliceStable and, unlike it,
 // allocates nothing — this runs for every link with waiters every
 // cycle.
-func (s *Simulator) sortPending(l *link, byPriority bool) {
+func sortPending(l *link, byPriority bool) {
 	p := l.pending
 	for i := 1; i < len(p); i++ {
 		m := p[i]
@@ -352,9 +455,9 @@ func pendingBefore(a, b *message, byPriority bool) bool {
 // pathIndex returns the index of link l within m's path. Headers only
 // wait at the channel they are about to cross, so the header position
 // identifies it.
-func (s *Simulator) pathIndex(m *message, l *link) int {
+func pathIndex(m *message, l *link) int {
 	i := m.headerAt()
-	if i >= m.hops() || m.s.Path.Channels[i] != l.ch {
+	if i >= m.hops() || m.links[i] != l {
 		panic(fmt.Sprintf("sim: message %d/%d header not at link %s", m.s.ID, m.seq, l.ch))
 	}
 	return i
@@ -367,9 +470,9 @@ func (s *Simulator) pathIndex(m *message, l *link) int {
 // what a scan over a materialized candidate list would pick. Every VC
 // holds at most one message, so candidates on one link occupy distinct
 // VCs and the incremental maximum is order-independent.
-func (s *Simulator) collectCandidates() {
-	rl, depth := s.rl, s.cfg.BufferDepth
-	for _, m := range s.active {
+func (k *Kernel) collectCandidates() {
+	rl, depth := k.rl, k.cfg.BufferDepth
+	for _, m := range k.active {
 		C := m.s.Length
 		crossed, vcHeld := m.crossed, m.vcHeld
 		// VCs are held on the contiguous range starting at m.lo (the
@@ -412,11 +515,11 @@ func (s *Simulator) collectCandidates() {
 			}
 			ord := m.ords[i]
 			w, bit := ord>>6, uint64(1)<<(uint32(ord)&63)
-			if s.candMask[w]&bit == 0 {
-				s.candMask[w] |= bit
-				s.candBest[ord] = candidate{m: m, idx: i}
-			} else if b := &s.candBest[ord]; vcHeld[i] > b.m.vcHeld[b.idx] {
-				s.candBest[ord] = candidate{m: m, idx: i}
+			if k.candMask[w]&bit == 0 {
+				k.candMask[w] |= bit
+				k.candBest[ord] = candidate{m: m, idx: i}
+			} else if b := &k.candBest[ord]; vcHeld[i] > b.m.vcHeld[b.idx] {
+				k.candBest[ord] = candidate{m: m, idx: i}
 			}
 			m.hadCandidate = true
 		}
@@ -431,18 +534,18 @@ func (s *Simulator) collectCandidates() {
 // priority rule the winner additionally transmits only when it sits on
 // the highest occupied VC (the paper's literal formulation: VC v
 // obtains bandwidth only if every higher VC is completely free).
-func (s *Simulator) moveFlits() {
-	strict := s.cfg.StrictPhysicalPriority &&
-		s.cfg.Arbiter != NonPreemptiveFIFO && s.cfg.Arbiter != NonPreemptivePriority
-	for w, word := range s.candMask {
+func (k *Kernel) moveFlits() {
+	strict := k.cfg.StrictPhysicalPriority &&
+		k.cfg.Arbiter != NonPreemptiveFIFO && k.cfg.Arbiter != NonPreemptivePriority
+	for w, word := range k.candMask {
 		if word == 0 {
 			continue
 		}
-		s.candMask[w] = 0
+		k.candMask[w] = 0
 		for ; word != 0; word &= word - 1 {
 			ord := w<<6 + bits.TrailingZeros64(word)
-			c := s.candBest[ord]
-			l := s.linkOrder[ord]
+			c := k.candBest[ord]
+			l := &k.links[ord]
 			if strict {
 				top := -1
 				for v := len(l.vcs) - 1; v >= 0; v-- {
@@ -455,29 +558,27 @@ func (s *Simulator) moveFlits() {
 					continue
 				}
 			}
-			s.advance(l, &c)
+			k.advance(l, &c)
 		}
 	}
 }
 
 // advance moves one flit of m across path channel idx, handling header
 // arrival at the next hop, tail VC release and delivery accounting.
-func (s *Simulator) advance(l *link, c *candidate) {
+func (k *Kernel) advance(l *link, c *candidate) {
 	m, i := c.m, c.idx
 	m.crossed[i]++
 	m.advanced = true
-	l.busy++
 	l.flits++
 	if i+1 < m.hops() {
-		if s.rl > 0 {
+		if k.rl > 0 {
 			// The flit enters the next router's pipeline; promote()
 			// surfaces it (and the header's VC request) later.
-			m.inflight[i+1] = append(m.inflight[i+1], s.now)
+			m.inflight[i+1] = append(m.inflight[i+1], k.now)
 		} else if m.crossed[i] == 1 {
 			// Header arrived at the next router: request a VC there.
-			s.stamp++
-			m.arrival = s.stamp
-			s.addPending(m.links[i+1], m)
+			m.arrival = k.NextStamp()
+			k.addPending(m.links[i+1], m)
 		}
 	}
 	if m.crossed[i] == m.s.Length {
@@ -488,11 +589,11 @@ func (s *Simulator) advance(l *link, c *candidate) {
 		if i == m.lo {
 			m.lo++
 		}
-		if s.cfg.Tracer != nil {
-			s.trace(trace.Event{Cycle: s.now + 1, Kind: trace.VCRelease, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: vcIdx})
+		if k.cfg.Tracer != nil {
+			k.trace(trace.Event{Cycle: k.now + 1, Kind: trace.VCRelease, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: vcIdx})
 		}
 		if i == m.hops()-1 {
-			s.deliver(m)
+			k.deliver(m)
 		}
 	}
 }
@@ -502,17 +603,16 @@ func (s *Simulator) advance(l *link, c *candidate) {
 // cycle ts + 1 + RouterLatency (the +1 matches the zero-latency model,
 // where a crossing is visible the following cycle). The header's
 // arrival additionally enqueues its VC request.
-func (s *Simulator) promote() {
-	for _, m := range s.active {
+func (k *Kernel) promote() {
+	for _, m := range k.active {
 		for i := 1; i < m.hops(); i++ {
 			q := m.inflight[i]
-			for len(q) > 0 && s.now-q[0] >= 1+s.rl {
+			for len(q) > 0 && k.now-q[0] >= 1+k.rl {
 				q = q[1:]
 				m.visible[i]++
 				if m.visible[i] == 1 {
-					s.stamp++
-					m.arrival = s.stamp
-					s.addPending(m.links[i], m)
+					m.arrival = k.NextStamp()
+					k.addPending(m.links[i], m)
 				}
 			}
 			m.inflight[i] = q
@@ -523,10 +623,10 @@ func (s *Simulator) promote() {
 // dropLate aborts every in-flight message older than its deadline:
 // held VCs are released, pending-header entries withdrawn, and the
 // message retired as Dropped.
-func (s *Simulator) dropLate() {
-	kept := s.active[:0]
-	for _, m := range s.active {
-		if s.now-m.genTime <= m.s.Deadline {
+func (k *Kernel) dropLate() {
+	kept := k.active[:0]
+	for _, m := range k.active {
+		if k.now-m.genTime <= m.s.Deadline {
 			kept = append(kept, m)
 			continue
 		}
@@ -540,14 +640,13 @@ func (s *Simulator) dropLate() {
 				l := m.links[i]
 				l.vcs[vcIdx].owner = nil
 				m.vcHeld[i] = -1
-				s.trace(trace.Event{Cycle: s.now, Kind: trace.VCRelease, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: vcIdx})
+				k.trace(trace.Event{Cycle: k.now, Kind: trace.VCRelease, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: vcIdx})
 			}
 		}
-		st := &s.stats.PerStream[m.s.ID]
-		st.Dropped++
-		s.retired = append(s.retired, m)
+		k.stats.PerStream[m.s.ID].Dropped++
+		k.retired = append(k.retired, m)
 	}
-	s.active = kept
+	k.active = kept
 }
 
 // accountStalls classifies, for every message still in flight, why it
@@ -556,10 +655,10 @@ func (s *Simulator) dropLate() {
 // (the classic wormhole hold-and-wait). The counts land in the
 // per-stream statistics and decompose observed latency into its
 // blocking causes.
-func (s *Simulator) accountStalls() {
-	for _, m := range s.active {
-		if m.genTime >= s.cfg.Warmup {
-			st := &s.stats.PerStream[m.s.ID]
+func (k *Kernel) accountStalls() {
+	for _, m := range k.active {
+		if m.genTime >= k.cfg.Warmup {
+			st := &k.stats.PerStream[m.s.ID]
 			switch {
 			case m.advanced:
 				st.ProgressCycles++
@@ -571,7 +670,7 @@ func (s *Simulator) accountStalls() {
 				st.BufferStallCycles++
 			}
 		}
-		if s.cfg.DeadlockThreshold > 0 {
+		if k.cfg.DeadlockThreshold > 0 {
 			holdsVC := false
 			for _, v := range m.vcHeld {
 				if v >= 0 {
@@ -583,11 +682,13 @@ func (s *Simulator) accountStalls() {
 				m.stale = 0
 			} else {
 				m.stale++
-				if m.stale >= s.cfg.DeadlockThreshold && !m.flagged {
+				if m.stale >= k.cfg.DeadlockThreshold && !m.flagged {
 					m.flagged = true
-					s.stats.PerStream[m.s.ID].DeadlockSuspects++
-					if s.stats.FirstDeadlockCycle < 0 {
-						s.stats.FirstDeadlockCycle = s.now
+					k.stats.PerStream[m.s.ID].DeadlockSuspects++
+					// Kernels sharing one Result run one after another,
+					// so keep the earliest cycle, not the first written.
+					if f := k.stats.FirstDeadlockCycle; f < 0 || k.now < f {
+						k.stats.FirstDeadlockCycle = k.now
 					}
 				}
 			}
@@ -598,30 +699,26 @@ func (s *Simulator) accountStalls() {
 }
 
 // trace emits an event if a tracer is configured.
-func (s *Simulator) trace(e trace.Event) {
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Event(e)
+func (k *Kernel) trace(e trace.Event) {
+	if k.cfg.Tracer != nil {
+		k.cfg.Tracer.Event(e)
 	}
 }
 
 // deliver records a completed message and retires it.
-func (s *Simulator) deliver(m *message) {
-	latency := s.now + 1 - m.genTime // the flit crosses during cycle now..now+1
-	s.trace(trace.Event{Cycle: s.now + 1, Kind: trace.Deliver, Stream: m.s.ID, Seq: m.seq})
-	st := &s.stats.PerStream[m.s.ID]
+func (k *Kernel) deliver(m *message) {
+	latency := k.now + 1 - m.genTime // the flit crosses during cycle now..now+1
+	k.trace(trace.Event{Cycle: k.now + 1, Kind: trace.Deliver, Stream: m.s.ID, Seq: m.seq})
+	st := &k.stats.PerStream[m.s.ID]
 	st.Delivered++
-	if m.genTime >= s.cfg.Warmup {
+	if m.genTime >= k.cfg.Warmup {
 		st.Observe(latency, m.s.Deadline)
 	}
-	for i, a := range s.active {
+	for i, a := range k.active {
 		if a == m {
-			s.active = append(s.active[:i], s.active[i+1:]...)
+			k.active = append(k.active[:i], k.active[i+1:]...)
 			break
 		}
 	}
-	s.retired = append(s.retired, m)
+	k.retired = append(k.retired, m)
 }
-
-// Now returns the current simulation time (useful to instrument partial
-// runs in tests).
-func (s *Simulator) Now() int { return s.now }

@@ -64,7 +64,7 @@ func TestQuickSimInvariants(t *testing.T) {
 			}
 		}
 		for _, cs := range res.PerChannel {
-			if cs.Flits > cfg.Cycles || cs.BusyCycles != cs.Flits {
+			if cs.Flits > cfg.Cycles {
 				return false
 			}
 		}

@@ -161,8 +161,8 @@ func (c *Config) WithDefaults(n int) (Config, error) {
 }
 
 // message is one in-flight (or queued) message instance. Retired
-// instances (delivered or dropped) are pooled and reissued by
-// release(), so steady-state traffic allocates nothing.
+// instances (delivered or dropped) are pooled and reissued by the
+// kernel, so steady-state traffic allocates nothing.
 type message struct {
 	s       *stream.Stream
 	links   []*link // the link of each path channel, shared per stream
@@ -183,7 +183,7 @@ type message struct {
 	// router i's pipeline. Unused (nil) when RouterLatency is 0.
 	visible  []int
 	inflight [][]int
-	arrival  int64 // global arrival stamp for FIFO tie-breaking
+	arrival  int64 // kernel-wide arrival stamp for FIFO tie-breaking
 	prio     int   // priority level index (0 = lowest)
 
 	// Per-cycle stall-accounting flags, reset by the engine.
@@ -213,18 +213,18 @@ type vc struct {
 }
 
 // link is one directed physical channel with its virtual channels and
-// the headers waiting for a VC assignment. All links of a simulator
-// live in one contiguous array in deterministic channel order; the
-// per-cycle arbitration state (cycle stamp, winning candidate) lives
-// in dense per-ordinal arrays on the Simulator, so the cycle loop
-// walks cache-friendly memory instead of chasing per-link pointers.
+// the headers waiting for a VC assignment. All links of a kernel live
+// in one contiguous array in deterministic channel order; the
+// per-cycle arbitration state (winning candidate) lives in dense
+// per-ordinal arrays on the Kernel, so the cycle loop walks
+// cache-friendly memory instead of chasing per-link pointers.
 type link struct {
 	ch      topology.Channel
 	vcs     []vc
 	pending []*message // headers waiting to acquire a VC, arrival order
-	// Channel activity counters, flushed into Result.PerChannel at the
-	// end of the run (a map update per crossed flit is too hot).
-	busy  int
+	// flits counts the flits that crossed the channel, one per busy
+	// cycle, flushed into Result.PerChannel at the end of the run (a
+	// map update per crossed flit is too hot).
 	flits int
 	// queued marks membership in the simulator's waiting list (links
 	// with headers pending a VC), so assignVCs visits only those

@@ -68,8 +68,10 @@ func (st *StreamStats) Mean() float64 {
 
 // ChannelStats accumulates per-physical-channel activity.
 type ChannelStats struct {
-	BusyCycles int // cycles in which a flit crossed the channel
-	Flits      int // total flits transferred (== BusyCycles)
+	// Flits is the number of flits that crossed the channel. A channel
+	// carries at most one flit per cycle, so it is also the number of
+	// cycles the channel was busy.
+	Flits int
 }
 
 // Utilization returns the fraction of cycles the channel carried a
@@ -78,7 +80,7 @@ func (c ChannelStats) Utilization(cycles int) float64 {
 	if cycles <= 0 {
 		return 0
 	}
-	return float64(c.BusyCycles) / float64(cycles)
+	return float64(c.Flits) / float64(cycles)
 }
 
 // Result is the outcome of one simulation run.
