@@ -81,8 +81,9 @@ mc-smoke:
 		-seeds 20 -baseseed 555 -configs preemptive:2,li:2,nonpreemptive-fifo:2 \
 		-cycles 30000 -warmup 200 -engine event -check
 	$(GO) run ./cmd/rtwmc -topology mesh2d-10x10 -streams 60 -plevels 15 \
-		-seeds 4 -baseseed 1 -configs preemptive:2 -cycles 30000 -warmup 200 \
-		-engine event -check
+		-seeds 4 -baseseed 1 \
+		-configs preemptive:2,preemptive:1,li:2,nonpreemptive-priority:2,nonpreemptive-fifo:2 \
+		-cycles 30000 -warmup 200 -engine event -check
 
 # Tiny deterministic design-space smoke: sweep then synthesise an
 # 8-point grid with simulator cross-validation. -check fails the target

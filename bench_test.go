@@ -575,15 +575,16 @@ func BenchmarkSimulator(b *testing.B) {
 // between the two entries in BENCH_core.json is the engine speedup.
 // The differential battery in internal/eventsim pins the two engines'
 // results byte-identical on this exact workload. kernel-cycles/op is
-// the component-cycles stepped in the cycle kernel rather than folded:
-// deterministic, so host noise cannot move it.
+// the component-cycles stepped in the cycle kernel rather than folded,
+// and kernel-msg-cycles/op the messages those cycles held, summed:
+// deterministic, so host noise cannot move them.
 func BenchmarkEventSim(b *testing.B) {
 	set, _, err := workload.Generate(workload.PaperDefaults(20, 4, 555))
 	if err != nil {
 		b.Fatal(err)
 	}
 	const cycles = 30000
-	stepped := 0
+	stepped, held := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := eventsim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
@@ -592,9 +593,11 @@ func BenchmarkEventSim(b *testing.B) {
 		}
 		s.Run()
 		stepped += s.KernelCycles()
+		held += s.KernelMessageCycles()
 	}
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 	b.ReportMetric(float64(stepped)/float64(b.N), "kernel-cycles/op")
+	b.ReportMetric(float64(held)/float64(b.N), "kernel-msg-cycles/op")
 }
 
 // BenchmarkMCReplications measures Monte-Carlo study throughput: 8

@@ -14,13 +14,15 @@ type ipair struct {
 // comp is one conflict component: streams whose paths are transitively
 // connected through shared channels, simulated to completion with no
 // reference to any other component. Its messages are analytic flights
-// while none contend and messages of its sim.Kernel, stepped cycle by
-// cycle, while any do.
+// while they cannot contend and messages of its sim.Kernel, stepped
+// cycle by cycle, once they might. Both kinds coexist under one
+// invariant: no link a flight has yet to finish crossing is held, or
+// still needed, by a kernel message.
 type comp struct {
 	cfg   *sim.Config
 	res   *sim.Result
 	sched *schedule
-	k     *sim.Kernel
+	k     *sim.Kernel // nil when runSolo folds the component whole
 
 	ids     []int            // global stream index per local stream, ascending
 	streams []*stream.Stream // per local stream
@@ -41,18 +43,19 @@ type comp struct {
 	relIdx  []int
 	nextSeq []int
 
-	// Jump-mode state: analytic flights, in release order, and the
-	// scheduled first-interaction cycle for kernel re-entry.
+	// Analytic flights, in release order.
 	flights []flight
-	reentry int
 
-	// Materialisation scratch (stamp order and staircase positions).
+	// Materialisation scratch: the flights one entry pulls in, their
+	// stamp order, and staircase positions.
+	pulled    []bool
 	ordKeys   []flightOrder
 	ordIdx    []int
 	ordStamps []int64
 	crossed   []int
 
 	steps int // cycles stepped in the kernel
+	held  int // messages held, summed over those cycles
 }
 
 func newComp(s *Simulator, ids []int) *comp {
@@ -61,17 +64,13 @@ func newComp(s *Simulator, ids []int) *comp {
 		cfg:      &s.cfg,
 		res:      s.res,
 		sched:    s.sched,
-		k:        sim.NewKernel(s.set, ids, s.cfg, s.res),
 		ids:      ids,
 		streams:  make([]*stream.Stream, n),
 		jumpable: s.set.RouterLatency == 0,
 		lat:      make([]int, n),
 		wl:       make([]int, n),
-		pairs:    make([][][]ipair, n),
 		nextRel:  make([]int, n),
 		relIdx:   make([]int, n),
-		nextSeq:  make([]int, n),
-		reentry:  farCycle,
 	}
 	for li, gi := range ids {
 		st := s.set.Get(stream.ID(gi))
@@ -81,6 +80,12 @@ func newComp(s *Simulator, ids []int) *comp {
 		c.wl[li] = c.lat[li] - H + 1
 		c.nextRel[li], c.relIdx[li] = c.sched.start(gi)
 	}
+	if c.solo() {
+		return c
+	}
+	c.k = sim.NewKernel(s.set, ids, s.cfg, s.res)
+	c.nextSeq = make([]int, n)
+	c.pairs = make([][][]ipair, n)
 	for a := range c.streams {
 		c.pairs[a] = make([][]ipair, n)
 		for b := range c.streams {
@@ -98,59 +103,32 @@ func newComp(s *Simulator, ids []int) *comp {
 	return c
 }
 
-// run simulates the component to the configured horizon, alternating
-// between analytic jump mode and the exact cycle kernel, then settles
-// the end-of-run accounting. The component is in jump mode exactly
-// while its kernel holds no message: enterCycleMode hands every flight
-// to the kernel, and the kernel hands back only once it drains. A
-// drained kernel holds no VC and no pending header, which is exactly
-// the state jump mode assumes.
+// run simulates the component to the configured horizon, then settles
+// the end-of-run accounting. Each cycle first performs the flight and
+// release events due then (events, which keeps the invariant), then
+// steps the kernel if it holds a message; with none held, the clock
+// jumps to the next event. Events are rare next to kernel cycles, so a
+// cycle with none due costs one comparison beside the Step.
 func (c *comp) run() {
-	if !c.runSolo() {
-		cycles := c.cfg.Cycles
-		for c.k.Now() < cycles {
-			if c.k.Drained() {
-				if c.jumpable {
-					c.jumpStep()
-					continue
-				}
-				// Without jump mode (RouterLatency > 0) the kernel state
-				// cannot change until the next release: skip the gap.
-				t := c.nextRelease()
-				if t >= cycles {
-					break
-				}
-				c.k.SetNow(t)
-			}
-			c.release()
-			c.k.Step()
-			c.steps++
+	if c.k == nil {
+		c.runSolo()
+		return
+	}
+	cycles, next := c.cfg.Cycles, 0
+	for t := c.k.Now(); t < cycles; t = c.k.Now() {
+		if t >= next {
+			next = c.events(t)
 		}
+		held := c.k.Held()
+		if held == 0 {
+			c.k.SetNow(next)
+			continue
+		}
+		c.held += held
+		c.k.Step()
+		c.steps++
 	}
 	c.finish()
-}
-
-// nextRelease returns the earliest pending release cycle.
-func (c *comp) nextRelease() int {
-	t := c.cfg.Cycles
-	for _, r := range c.nextRel {
-		if r < t {
-			t = r
-		}
-	}
-	return t
-}
-
-// release hands the kernel every release due this cycle, in stream
-// order like sim.Simulator.
-func (c *comp) release() {
-	now := c.k.Now()
-	for li := range c.streams {
-		for c.nextRel[li] <= now {
-			c.k.Release(li, c.nextSeq[li], c.nextRel[li])
-			c.consumeRelease(li)
-		}
-	}
 }
 
 // consumeRelease moves local stream li's cursor past its current

@@ -17,22 +17,28 @@ import (
 // runBoth runs the cycle oracle and the event engine on identical
 // inputs and fails unless the results are deeply identical — every
 // per-stream counter, the full latency histograms, every per-channel
-// tally, and the run-level scalars.
+// tally, and the run-level scalars. On a mismatch it bisects the
+// horizon, rerunning both engines in lockstep, and reports the first
+// horizon at which they differ (one cycle shorter agrees) and what
+// differs there.
 func runBoth(t *testing.T, set *stream.Set, cfg sim.Config, label string) {
 	t.Helper()
-	o, err := sim.New(set, cfg)
-	if err != nil {
-		t.Fatalf("%s: sim.New: %v", label, err)
-	}
-	e, err := eventsim.New(set, cfg)
-	if err != nil {
-		t.Fatalf("%s: eventsim.New: %v", label, err)
-	}
-	want := o.Run()
-	got := e.Run()
+	want, got := runEngines(t, set, cfg, label)
 	if reflect.DeepEqual(want, got) {
 		return
 	}
+	lo, hi := cfg.Warmup, cfg.Cycles // the horizon must exceed the warmup
+	for hi-lo > 1 {
+		c := cfg
+		c.Cycles = lo + (hi-lo)/2
+		w, g := runEngines(t, set, c, label)
+		if reflect.DeepEqual(w, g) {
+			lo = c.Cycles
+		} else {
+			hi, want, got = c.Cycles, w, g
+		}
+	}
+	label = fmt.Sprintf("%s: engines first differ at horizon %d", label, hi)
 	for i := range want.PerStream {
 		if !reflect.DeepEqual(want.PerStream[i], got.PerStream[i]) {
 			t.Fatalf("%s: stream %d differs:\n cycle: %+v\n event: %+v",
@@ -45,6 +51,21 @@ func runBoth(t *testing.T, set *stream.Set, cfg sim.Config, label string) {
 	}
 	t.Fatalf("%s: results differ: cycle {Unfinished:%d FirstDeadlock:%d}, event {Unfinished:%d FirstDeadlock:%d}",
 		label, want.Unfinished, want.FirstDeadlockCycle, got.Unfinished, got.FirstDeadlockCycle)
+}
+
+// runEngines returns the cycle oracle's and the event engine's results
+// for one configuration.
+func runEngines(t *testing.T, set *stream.Set, cfg sim.Config, label string) (oracle, event *sim.Result) {
+	t.Helper()
+	o, err := sim.New(set, cfg)
+	if err != nil {
+		t.Fatalf("%s: sim.New: %v", label, err)
+	}
+	e, err := eventsim.New(set, cfg)
+	if err != nil {
+		t.Fatalf("%s: eventsim.New: %v", label, err)
+	}
+	return o.Run(), e.Run()
 }
 
 // TestDifferentialBattery pins the event engine against the cycle

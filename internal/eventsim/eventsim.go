@@ -21,24 +21,31 @@
 //  2. Within a component, a message that never blocks follows an exact
 //     closed-form "staircase" trajectory (flit f crosses channel i at
 //     a fixed offset from the release time), and whether it will block
-//     is decidable at release time by intersecting per-channel
-//     occupancy windows against the other in-flight messages. While
-//     every in-flight message is free-flowing, the component jumps
-//     straight from event to event (releases, deliveries, deadline
-//     drops); the moment a release would overlap an occupancy window,
-//     the component hands its flights to its sim.Kernel — package
-//     sim's own cycle kernel over the component's streams — steps it
-//     cycle by cycle, and returns to jump mode only when the kernel
-//     drains: when every message it holds has retired.
+//     is decidable by intersecting per-channel occupancy windows. Such
+//     a message is a flight: the component jumps straight from event
+//     to event (releases, deliveries, deadline drops) for it. Every
+//     other message is stepped cycle by cycle in the component's
+//     sim.Kernel — package sim's own cycle kernel over the component's
+//     streams.
 //
-// The fallback rule is deliberately conservative: window overlap does
-// not always mean a flit-level stall, but free flow is only assumed
-// when overlap is impossible, so jump mode never has to approximate
-// an arbitration. Everything contended runs through the oracle's own
-// cycle kernel, which is why the statistics come out identical rather
-// than merely close.
+// Flights and kernel messages coexist under one invariant: no link
+// that a flight has yet to finish crossing is held, or still needed,
+// by a kernel message. A release enters the kernel when its path
+// reaches a link the kernel still needs, or when its occupancy window
+// meets a flight's at once; a flight enters at the first cycle its
+// window meets another flight's. Whatever enters pulls in every flight
+// whose unfinished links it reaches, transitively, so the kernel and
+// the flights never share a link, VC, buffer or arbitration slot, and
+// the kernel steps only the messages that may contend.
 //
-// A positive Set.RouterLatency disables jump mode (the staircase forms
+// The rule is deliberately conservative: a shared link does not always
+// mean a flit-level stall, but free flow is only assumed when
+// interaction is impossible, so a flight never has to approximate an
+// arbitration. Everything else runs through the oracle's own cycle
+// kernel, which is why the statistics come out identical rather than
+// merely close.
+//
+// A positive Set.RouterLatency disables flights (the staircase forms
 // assume single-cycle routers); such runs still benefit from component
 // decomposition and idle-gap skipping, but not from analytic flight.
 package eventsim
@@ -137,12 +144,36 @@ func (s *Simulator) Run() *sim.Result {
 
 // KernelCycles returns the cycles Run stepped in a component's cycle
 // kernel, summed over components; every other component-cycle was
-// folded in jump mode, skipped idle, or folded whole by the solo path.
-// It depends on the stream set and configuration alone.
+// flown analytically, skipped idle, or folded whole by the solo path.
+// It depends on the stream set and configuration alone, as do
+// KernelMessageCycles and SoloComponents.
 func (s *Simulator) KernelCycles() int {
 	n := 0
 	for _, c := range s.comps {
 		n += c.steps
+	}
+	return n
+}
+
+// KernelMessageCycles returns the messages the kernels held, summed
+// over the cycles they stepped: the message-cycles Run simulated flit
+// by flit.
+func (s *Simulator) KernelMessageCycles() int {
+	n := 0
+	for _, c := range s.comps {
+		n += c.held
+	}
+	return n
+}
+
+// SoloComponents returns the number of components folded whole by the
+// solo path, which build no kernel.
+func (s *Simulator) SoloComponents() int {
+	n := 0
+	for _, c := range s.comps {
+		if c.k == nil {
+			n++
+		}
 	}
 	return n
 }

@@ -4,18 +4,20 @@ package eventsim
 // horizon by orders of magnitude.
 const farCycle = 1 << 30
 
-// flight is a message in analytic free flow, released in jump mode and
-// following the from-release staircase, whose closed forms live in the
-// lat/wl tables: its future trajectory is fully determined, so only its
-// scheduled endpoints are stored. Flights exist only while no occupancy
-// windows overlap, which is exactly the regime in which the cycle
-// kernel would grant every request immediately.
+// flight is a message in analytic free flow, following the
+// from-release staircase whose closed forms live in the lat/wl tables:
+// its future trajectory is fully determined, so only its scheduled
+// endpoints are stored. A flight shares no link with a kernel message
+// (the component's invariant), and flies only until meet, the first
+// cycle its occupancy window overlaps another flight's; up to then the
+// cycle kernel would grant its every request immediately.
 type flight struct {
 	li      int // local stream index
 	seq     int
 	t0      int // release cycle
 	deliver int // cycle during which the tail crosses the final link
-	drop    int // deadline-drop cycle (DropLate), or -1
+	drop    int // deadline-drop cycle (DropLate), or farCycle
+	meet    int // first cycle it shares a link with another flight, or farCycle
 }
 
 // stairCrossed is the from-release free-flow trajectory: the number of
@@ -48,40 +50,17 @@ func freeLat(H, C, depth int) int {
 	return H + 2*C - 2
 }
 
-// jumpStep advances virtual time to the next event — release, delivery,
-// deadline drop, or end of run — and processes every event scheduled
-// there. Event order within one cycle mirrors the kernel's phase order:
-// drops happen before releases (dropLate frees state before VC
-// assignment), deliveries conceptually complete during the cycle. A
-// release whose occupancy windows intersect any in-flight message's
-// windows is not consumed; the component re-enters the exact cycle
-// kernel at that cycle instead.
-func (c *comp) jumpStep() {
-	cycles := c.cfg.Cycles
-	t := c.nextRelease()
-	for _, f := range c.flights {
-		e := f.deliver
-		if f.drop >= 0 && f.drop < e {
-			e = f.drop
-		}
-		if e < t {
-			t = e
-		}
-	}
-	if c.reentry < t {
-		t = c.reentry
-	}
-	if t >= cycles {
-		c.k.SetNow(cycles)
-		return
-	}
-	if t == c.reentry {
-		// The scheduled first interaction of two admitted messages:
-		// resume exact stepping. Any release, drop, or delivery due
-		// this same cycle is the kernel's to perform.
-		c.enterCycleMode(t)
-		return
-	}
+// events performs every flight and release event due at the start of
+// cycle t, in the kernel's phase order, and returns the cycle the next
+// one is due (at most the horizon). Deadline drops come first (dropLate
+// frees state before VC assignment); then every flight whose window
+// meets another's now enters the kernel; then the releases, in stream
+// order like sim.Simulator's; deliveries last (the tail crosses during
+// cycle t). A release enters the kernel when its path reaches a link a
+// kernel message still needs, or when its window meets a flight's now.
+// Otherwise it flies, and it and every flight it will meet note the
+// first cycle they do.
+func (c *comp) events(t int) int {
 	if c.cfg.DropLate {
 		kept := c.flights[:0]
 		for _, f := range c.flights {
@@ -93,19 +72,25 @@ func (c *comp) jumpStep() {
 		}
 		c.flights = kept
 	}
+	for i := 0; i < len(c.flights); i++ {
+		if c.flights[i].meet == t {
+			c.enter(t, i, -1)
+			i = -1 // enter removed flights: rescan
+		}
+	}
 	for li := range c.streams {
 		if c.nextRel[li] != t {
 			continue
 		}
-		cc := c.conflicts(li, t)
-		if cc <= t {
-			c.enterCycleMode(t)
-			return
+		m := t
+		if c.jumpable && !c.reserved(li) {
+			m = c.meet(li, t)
 		}
-		if cc < c.reentry {
-			c.reentry = cc
+		if m > t {
+			c.addFlight(li, t, m)
+		} else {
+			c.enter(t, -1, li)
 		}
-		c.addFlight(li, t)
 	}
 	kept := c.flights[:0]
 	for _, f := range c.flights {
@@ -116,41 +101,58 @@ func (c *comp) jumpStep() {
 		}
 	}
 	c.flights = kept
-	c.k.SetNow(t + 1)
+
+	next := c.cfg.Cycles
+	for _, r := range c.nextRel {
+		next = min(next, r)
+	}
+	for _, f := range c.flights {
+		next = min(next, f.deliver, f.drop, f.meet)
+	}
+	return next
 }
 
-// conflicts returns the first cycle at which a release of local stream
-// li at cycle t would interact with an in-flight message — the earliest
-// cycle where it and a flight both occupy a shared link — or farCycle
-// if no such cycle exists. Two free-flowing messages are independent
-// until both are present at a common link, so solo free flow is exact
-// strictly before the returned cycle.
-func (c *comp) conflicts(li, t int) int {
-	cc := farCycle
+// reserved reports whether the path of local stream li reaches a link
+// that a kernel message still needs.
+func (c *comp) reserved(li int) bool {
+	for hop := range c.streams[li].Path.Channels {
+		if c.k.Reserved(li, hop) {
+			return true
+		}
+	}
+	return false
+}
+
+// meet returns the first cycle at which a release of local stream li at
+// cycle t would share a link with a flight — the earliest cycle where
+// both occupy one — or farCycle if it never would, and lowers each
+// such flight's own meet cycle to the one it shares with the release.
+// Two free-flowing messages are independent until both are present at
+// a common link, so solo free flow is exact strictly before that cycle.
+func (c *comp) meet(li, t int) int {
+	m := farCycle
 	wlB := c.wl[li]
-	for _, f := range c.flights {
+	for g := range c.flights {
+		f := &c.flights[g]
 		wlA := c.wl[f.li]
 		for _, p := range c.pairs[li][f.li] {
 			bs, as := t+p.pa, f.t0+p.pb
 			if bs <= as+wlA-1 && as <= bs+wlB-1 {
-				s := bs
-				if as > s {
-					s = as
-				}
-				if s < cc {
-					cc = s
-				}
+				s := max(bs, as)
+				f.meet = min(f.meet, s)
+				m = min(m, s)
 			}
 		}
 	}
-	return cc
+	return m
 }
 
-// addFlight releases one message analytically.
-func (c *comp) addFlight(li, t int) {
+// addFlight releases one message analytically; it meets another
+// flight at cycle meet.
+func (c *comp) addFlight(li, t, meet int) {
 	st := c.streams[li]
 	c.res.PerStream[st.ID].Generated++
-	f := flight{li: li, seq: c.nextSeq[li], t0: t, deliver: t + c.lat[li] - 1, drop: -1}
+	f := flight{li: li, seq: c.nextSeq[li], t0: t, deliver: t + c.lat[li] - 1, drop: farCycle, meet: meet}
 	// dropLate fires at t0+D+1; the message is still in flight then
 	// only if its (free-flow) latency is at least D+2. A latency of
 	// exactly D+1 is a deadline miss, not a drop.
@@ -235,47 +237,92 @@ func orderLess(a, b flightOrder) bool {
 	return a.tie < b.tie
 }
 
-// enterCycleMode materialises every flight into exact kernel state at
-// the start of cycle t and switches the component to cycle stepping.
-// The release that triggered the fallback has not been consumed; the
-// cycle loop's release will issue it this same cycle, after the
-// (earlier-stream) flights released at t, which is the oracle's order.
-func (c *comp) enterCycleMode(t int) {
-	c.k.SetNow(t)
-	c.reentry = farCycle
-	// Stamp issuing order, computed with scratch buffers and an
-	// insertion sort: re-entries are frequent and flight counts tiny,
-	// so per-entry allocation and sort.Slice overhead would dominate
-	// the round trip.
+// unfinished returns the first hop of flight f whose tail has yet to
+// cross at the start of cycle t: hop i's tail crosses during cycle
+// t0+i+wl-1, so the unfinished links are a path suffix.
+func (c *comp) unfinished(f flight, t int) int {
+	return max(0, t-f.t0-c.wl[f.li]+1)
+}
+
+// enter moves a message into the kernel at the start of cycle t, and
+// with it every flight whose unfinished links it reaches, transitively,
+// so no remaining flight shares a link with the kernel: flight fi, or
+// with fi < 0 the due release of local stream li. The pulled flights
+// are stamped in the order the oracle last stamped them, ahead of the
+// release: each was released or last stamped before it. Their stamps
+// are only ever compared with each other's and with the release's, as
+// no other kernel message needs any of their links.
+func (c *comp) enter(t, fi, li int) {
 	n := len(c.flights)
-	if cap(c.ordKeys) < n {
-		c.ordKeys = make([]flightOrder, n, 2*n)
-		c.ordIdx = make([]int, n, 2*n)
-		c.ordStamps = make([]int64, n, 2*n)
+	if cap(c.pulled) < n {
+		c.pulled = make([]bool, 2*n)
+		c.ordKeys = make([]flightOrder, 2*n)
+		c.ordIdx = make([]int, 0, 2*n)
+		c.ordStamps = make([]int64, 2*n)
 	}
-	keys, idx, stamps := c.ordKeys[:n], c.ordIdx[:n], c.ordStamps[:n]
-	for i, f := range c.flights {
-		idx[i] = i
-		keys[i] = c.orderKey(f, t)
+	pulled := c.pulled[:n]
+	clear(pulled)
+	in := c.ordIdx[:0]
+	if fi >= 0 {
+		pulled[fi] = true
+		in = append(in, fi)
+	} else {
+		in = c.reach(li, 0, t, in)
 	}
-	for i := 1; i < n; i++ {
-		v := idx[i]
+	for j := 0; j < len(in); j++ {
+		f := c.flights[in[j]]
+		in = c.reach(f.li, c.unfinished(f, t), t, in)
+	}
+	// Stamp issuing order by insertion sort: pulls are frequent and
+	// small, so sort.Slice overhead would dominate.
+	keys, stamps := c.ordKeys[:n], c.ordStamps[:n]
+	for _, g := range in {
+		keys[g] = c.orderKey(c.flights[g], t)
+	}
+	for i := 1; i < len(in); i++ {
+		v := in[i]
 		j := i
-		for j > 0 && orderLess(keys[v], keys[idx[j-1]]) {
-			idx[j] = idx[j-1]
+		for j > 0 && orderLess(keys[v], keys[in[j-1]]) {
+			in[j] = in[j-1]
 			j--
 		}
-		idx[j] = v
+		in[j] = v
 	}
-	for _, fi := range idx {
-		stamps[fi] = c.k.NextStamp()
+	for _, g := range in {
+		stamps[g] = c.k.NextStamp()
 	}
-	// Materialise in flight (= release) order so the kernel's active
-	// list comes out in the order the oracle maintains it.
-	for fi, f := range c.flights {
-		c.materialize(f, stamps[fi], t)
+	kept := c.flights[:0]
+	for g, f := range c.flights {
+		if pulled[g] {
+			c.materialize(f, stamps[g], t)
+		} else {
+			kept = append(kept, f)
+		}
 	}
-	c.flights = c.flights[:0]
+	c.flights = kept
+	if fi < 0 {
+		c.k.Release(li, c.nextSeq[li], t)
+		c.consumeRelease(li)
+	}
+}
+
+// reach pulls every flight not yet pulled whose unfinished links the
+// path of local stream a reaches from hop lo on, appending it to in.
+func (c *comp) reach(a, lo, t int, in []int) []int {
+	for g, f := range c.flights {
+		if c.pulled[g] {
+			continue
+		}
+		flo := c.unfinished(f, t)
+		for _, p := range c.pairs[a][f.li] {
+			if p.pa >= lo && p.pb >= flo {
+				c.pulled[g] = true
+				in = append(in, g)
+				break
+			}
+		}
+	}
+	return in
 }
 
 // materialize hands the kernel one free-flowing message at the start

@@ -190,9 +190,14 @@ func (k *Kernel) Now() int { return k.now }
 // kernel holds nothing.
 func (k *Kernel) SetNow(t int) { k.now = t }
 
-// Drained reports whether the kernel holds no message. A drained kernel
-// holds no VC and no pending header either.
-func (k *Kernel) Drained() bool { return len(k.active) == 0 }
+// Held returns the number of messages the kernel holds. A kernel that
+// holds none holds no VC and no pending header either.
+func (k *Kernel) Held() int { return len(k.active) }
+
+// Reserved reports whether some message the kernel holds has yet to
+// finish crossing the link at hop of local stream li: one holds a VC
+// there, waits for one, or will request one.
+func (k *Kernel) Reserved(li, hop int) bool { return k.pathLinks[li][hop].need > 0 }
 
 // NextStamp issues the next arrival stamp (the FIFO tie-breaker).
 func (k *Kernel) NextStamp() int64 {
@@ -212,6 +217,9 @@ func (k *Kernel) AddFlits(li, hop, n int) { k.pathLinks[li][hop].flits += n }
 func (k *Kernel) Release(li, seq, genTime int) {
 	m := k.newMessage(li, seq, genTime)
 	m.arrival = k.NextStamp()
+	for _, l := range m.links {
+		l.need++
+	}
 	k.active = append(k.active, m)
 	k.stats.PerStream[m.s.ID].Generated++
 	k.addPending(m.links[0], m)
@@ -239,10 +247,15 @@ func (k *Kernel) Inject(li, seq, genTime int, arrival int64, crossed []int) {
 	for m.lo < H && m.crossed[m.lo] >= C {
 		m.lo++
 	}
-	for i := m.lo; i < H && m.crossed[i] > 0; i++ {
-		if m.crossed[i] < C {
+	for i := m.lo; i < H; i++ {
+		l := m.links[i]
+		l.need++
+		if m.crossed[i] > 0 && m.crossed[i] < C {
+			if l.vcs[v].owner != nil {
+				panic(fmt.Sprintf("sim: Inject of %d/%d onto a held VC at %s", m.s.ID, m.seq, l.ch))
+			}
 			m.vcHeld[i] = v
-			m.links[i].vcs[v].owner = m
+			l.vcs[v].owner = m
 		}
 	}
 	if h := m.headerAt(); h < H {
@@ -412,7 +425,9 @@ func (k *Kernel) assignVCs() {
 				idx := pathIndex(m, l)
 				l.vcs[0].owner = m
 				m.vcHeld[idx] = 0
-				l.pending = l.pending[1:]
+				// Shift in place: reslicing past the head would make
+				// every later addPending reallocate the queue.
+				l.pending = l.pending[:copy(l.pending, l.pending[1:])]
 				k.trace(trace.Event{Cycle: k.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: 0})
 			}
 		}
@@ -585,6 +600,7 @@ func (k *Kernel) advance(l *link, c *candidate) {
 		// Tail passed: release this channel's VC.
 		vcIdx := m.vcHeld[i]
 		l.vcs[vcIdx].owner = nil
+		l.need--
 		m.vcHeld[i] = -1
 		if i == m.lo {
 			m.lo++
@@ -635,9 +651,10 @@ func (k *Kernel) dropLate() {
 			// The header is queued for a VC somewhere: withdraw it.
 			m.links[h].removePending(m)
 		}
-		for i, vcIdx := range m.vcHeld {
-			if vcIdx >= 0 {
-				l := m.links[i]
+		for i := m.lo; i < m.hops(); i++ {
+			l := m.links[i]
+			l.need--
+			if vcIdx := m.vcHeld[i]; vcIdx >= 0 {
 				l.vcs[vcIdx].owner = nil
 				m.vcHeld[i] = -1
 				k.trace(trace.Event{Cycle: k.now, Kind: trace.VCRelease, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: vcIdx})

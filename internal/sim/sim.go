@@ -226,6 +226,9 @@ type link struct {
 	// cycle, flushed into Result.PerChannel at the end of the run (a
 	// map update per crossed flit is too hot).
 	flits int
+	// need counts the kernel's messages whose tail has yet to cross
+	// the channel (see Kernel.Reserved).
+	need int
 	// queued marks membership in the simulator's waiting list (links
 	// with headers pending a VC), so assignVCs visits only those
 	// instead of scanning every link every cycle.
