@@ -122,6 +122,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzCalUEarlyExit$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz='^FuzzModifyWideWindows$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeSet$$' -fuzztime=30s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz='^FuzzLoadSnapshot$$' -fuzztime=30s ./internal/server/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

@@ -2,7 +2,8 @@
 // live stream set for one wormhole network and answers admit/withdraw
 // requests over a JSON HTTP API, re-running the paper's feasibility
 // test incrementally on every mutation (internal/admit). State
-// survives restarts through an atomically written JSON snapshot.
+// survives restarts through a JSON snapshot file: a document followed
+// by one fdatasync'd record per commit (docs/DAEMON.md, Persistence).
 //
 // Usage:
 //

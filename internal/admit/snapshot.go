@@ -18,6 +18,25 @@ type SnapshotStream struct {
 	Deadline int    `json:"deadline"`
 }
 
+// StreamOf is the JSON form of a stream admitted under handle h.
+func StreamOf(h Handle, sp Spec) SnapshotStream {
+	return SnapshotStream{
+		Handle: h,
+		Src:    int(sp.Src), Dst: int(sp.Dst),
+		Priority: sp.Priority, Period: sp.Period,
+		Length: sp.Length, Deadline: sp.Deadline,
+	}
+}
+
+// Spec is the stream's admission request.
+func (ss SnapshotStream) Spec() Spec {
+	return Spec{
+		Src: topology.NodeID(ss.Src), Dst: topology.NodeID(ss.Dst),
+		Priority: ss.Priority, Period: ss.Period,
+		Length: ss.Length, Deadline: ss.Deadline,
+	}
+}
+
 // Snapshot is the serializable state of a Controller: the machine and
 // the admitted streams in admission order, with their handles. Bounds
 // are not stored — Restore recomputes them, so a snapshot can never
@@ -43,13 +62,7 @@ func (c *Controller) Snapshot() (*Snapshot, error) {
 		Streams:       make([]SnapshotStream, len(st.Streams)),
 	}
 	for i, ad := range st.Streams {
-		sp := ad.Spec
-		sn.Streams[i] = SnapshotStream{
-			Handle: ad.Handle,
-			Src:    int(sp.Src), Dst: int(sp.Dst),
-			Priority: sp.Priority, Period: sp.Period,
-			Length: sp.Length, Deadline: sp.Deadline,
-		}
+		sn.Streams[i] = StreamOf(ad.Handle, ad.Spec)
 	}
 	return sn, nil
 }
@@ -86,11 +99,7 @@ func Restore(sn *Snapshot, cfg Config) (*Controller, error) {
 		}
 		seen[ss.Handle] = true
 		handles[i] = ss.Handle
-		specs[i] = Spec{
-			Src: topology.NodeID(ss.Src), Dst: topology.NodeID(ss.Dst),
-			Priority: ss.Priority, Period: ss.Period,
-			Length: ss.Length, Deadline: ss.Deadline,
-		}
+		specs[i] = ss.Spec()
 	}
 	res, st, err := c.admit(c.State(), specs, handles)
 	if err != nil {
@@ -114,4 +123,15 @@ func Restore(sn *Snapshot, cfg Config) (*Controller, error) {
 	st.NextHandle = max(st.NextHandle, sn.NextHandle)
 	c.state.Store(st)
 	return c, nil
+}
+
+// ResetStats zeroes the committed counters. A boot that rebuilds its
+// state by replaying past commits calls it, so that, as after Restore,
+// the counters count live traffic only.
+func (c *Controller) ResetStats() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := *c.state.Load()
+	next.Stats = Stats{}
+	c.state.Store(&next)
 }

@@ -2,8 +2,8 @@
 // the online face of the paper's host processor. It is stdlib-only:
 // a net/http ServeMux with method-qualified routes, JSON bodies, a
 // Prometheus-style text /metrics endpoint backed by internal/hist, and
-// optional snapshot persistence with atomic rename so a restarted
-// daemon resumes exactly where it stopped.
+// optional snapshot persistence, one fdatasync'd record per commit, so
+// a restarted daemon resumes exactly where it stopped.
 //
 // Routes (see docs/DAEMON.md for the full reference):
 //
@@ -17,9 +17,9 @@
 //
 // Failure semantics: infeasible admissions are 409 with the structured
 // rejection, malformed requests are 400, unknown handles are 404. A
-// mutation commits in memory before its snapshot is written; if the
-// snapshot write fails the response is 500 with "committed": true and
-// the daemon keeps serving from memory (the operator loses restart
+// mutation commits in memory before its record is written; if the
+// write fails the response is 500 with "committed": true and the
+// daemon keeps serving from memory (the operator loses restart
 // durability, not traffic).
 //
 // Overload protection: mutations serialize behind the server's commit
@@ -41,8 +41,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,7 +57,8 @@ import (
 type Config struct {
 	Controller *admit.Controller
 	// SnapshotPath persists the controller state after every mutation;
-	// empty disables persistence.
+	// empty disables persistence. A file already there must be the one
+	// Controller was restored from (LoadSnapshot): commits append to it.
 	SnapshotPath string
 	// MutationDelay artificially lengthens every mutation while it
 	// holds no lock. It exists for the end-to-end shutdown-drain test
@@ -88,11 +87,10 @@ type Config struct {
 
 // Server is the HTTP face of one admission controller.
 type Server struct {
-	ctl          *admit.Controller
-	snapshotPath string
-	delay        time.Duration
-	httpSrv      *http.Server
-	inflight     atomic.Int64
+	ctl      *admit.Controller
+	delay    time.Duration
+	httpSrv  *http.Server
+	inflight atomic.Int64
 
 	// mutSem is the bounded mutation queue: holding a token is the
 	// right to run one mutation. nil when backpressure is disabled.
@@ -102,14 +100,21 @@ type Server struct {
 	overload   atomic.Int64 // mutations shed with 429
 
 	// commitMu serializes mutations from the controller call through
-	// the snapshot write, so snapshots land in commit order. It is
-	// taken before the controller's lock, never after.
+	// the snapshot write, so records land in commit order. It is taken
+	// before the controller's lock, never after. It guards log and
+	// closed.
 	commitMu     sync.Mutex
+	log          *snapshotLog // nil without a snapshot path
+	closed       bool         // Close or Shutdown has fenced off commits
 	snapshotErrs atomic.Int64
+	compactions  atomic.Int64
+	compactSkips atomic.Int64 // compactions skipped over an infeasible report
+	tailRecords  atomic.Int64
 
 	mu          sync.Mutex // guards the histograms
 	admitLat    hist.H     // admit mutation latency, µs (recompute included)
 	withdrawLat hist.H     // withdraw mutation latency, µs
+	persistLat  hist.H     // record append and fdatasync (and compaction), µs
 }
 
 // New wires the routes and returns a server ready to Serve.
@@ -121,11 +126,16 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: negative mutation queue bound %d", cfg.MaxQueuedMutations)
 	}
 	s := &Server{
-		ctl:          cfg.Controller,
-		snapshotPath: cfg.SnapshotPath,
-		delay:        cfg.MutationDelay,
-		queueWait:    cfg.QueueWait,
-		retryAfter:   cfg.RetryAfter,
+		ctl:        cfg.Controller,
+		delay:      cfg.MutationDelay,
+		queueWait:  cfg.QueueWait,
+		retryAfter: cfg.RetryAfter,
+	}
+	if cfg.SnapshotPath != "" {
+		s.log = &snapshotLog{path: cfg.SnapshotPath, datasync: fdatasync, syncDir: syncDir}
+		if err := s.boot(); err != nil {
+			return nil, err
+		}
 	}
 	if s.retryAfter <= 0 {
 		s.retryAfter = time.Second
@@ -174,14 +184,36 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown gracefully stops the server: no new connections, in-flight
-// requests drain until ctx expires.
-func (s *Server) Shutdown(ctx context.Context) error { return s.httpSrv.Shutdown(ctx) }
+// requests drain until ctx expires. Then it fences off commits, as
+// Close does.
+func (s *Server) Shutdown(ctx context.Context) error {
+	err := s.httpSrv.Shutdown(ctx)
+	s.fence()
+	return err
+}
 
 // Close stops the server abruptly: the listener and every active
 // connection are torn down without draining. It exists for chaos
 // testing (internal/loadgen kills a daemon mid-run to exercise
-// snapshot restore); production shutdown should use Shutdown.
-func (s *Server) Close() error { return s.httpSrv.Close() }
+// snapshot restore); production shutdown should use Shutdown. A
+// mutation still running commits before Close returns or not at all.
+func (s *Server) Close() error {
+	err := s.httpSrv.Close()
+	s.fence()
+	return err
+}
+
+// fence waits for the commit in progress and closes the snapshot file.
+// A mutation that reaches the commit lock later is refused, so nothing
+// is committed or written once Close or Shutdown returns.
+func (s *Server) fence() {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	s.closed = true
+	if s.log != nil {
+		s.log.close()
+	}
+}
 
 // acquireMutation takes a slot in the bounded mutation queue. It
 // returns a release func and true, or (nil, false) when the request
@@ -349,22 +381,26 @@ func (s *Server) handleAdmitJob(w http.ResponseWriter, r *http.Request) {
 
 // admit is the controller call behind both admission routes.
 func (s *Server) admit(specs []admit.Spec) mutation {
-	return func() (int, any, error) {
+	return func() (int, any, *record, error) {
 		res, err := s.ctl.AdmitBatch(specs)
 		if err != nil {
-			return http.StatusBadRequest, nil, err
+			return http.StatusBadRequest, nil, nil, err
 		}
 		if !res.Admitted {
 			return http.StatusConflict, ErrorResponse{
 				Error:     "infeasible: " + res.Rejection.String(),
 				Rejection: res.Rejection,
-			}, nil
+			}, nil, nil
+		}
+		rec := &record{Admit: make([]admit.SnapshotStream, len(specs))}
+		for k, sp := range specs {
+			rec.Admit[k] = admit.StreamOf(res.Handles[k], sp)
 		}
 		return http.StatusOK, AdmitResponse{
 			Handles:    res.Handles,
 			Recomputed: res.Recomputed,
 			Feasible:   res.Report.Feasible,
-		}, nil
+		}, rec, nil
 	}
 }
 
@@ -374,24 +410,30 @@ func (s *Server) handleWithdraw(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed handle"})
 		return
 	}
-	s.mutate(w, r, &s.withdrawLat, func() (int, any, error) {
-		recomputed, err := s.ctl.Withdraw(admit.Handle(handle))
+	s.mutate(w, r, &s.withdrawLat, s.withdraw(admit.Handle(handle)))
+}
+
+// withdraw is the controller call behind the withdrawal route.
+func (s *Server) withdraw(h admit.Handle) mutation {
+	return func() (int, any, *record, error) {
+		recomputed, err := s.ctl.Withdraw(h)
 		if err != nil {
-			return http.StatusNotFound, nil, err
+			return http.StatusNotFound, nil, nil, err
 		}
-		return http.StatusOK, map[string]int{"recomputed": recomputed}, nil
-	})
+		return http.StatusOK, map[string]int{"recomputed": recomputed}, &record{Withdraw: h}, nil
+	}
 }
 
 // A mutation is one controller call and the response it earns: a
-// status and body, or a status and the controller's error.
-type mutation func() (code int, body any, err error)
+// status and body, with the record of a commit on 200, or a status and
+// the controller's error.
+type mutation func() (code int, body any, rec *record, err error)
 
 // mutate is the pipeline every mutating route runs: a queue slot (or
 // 429), MutationDelay, then under the commit lock the controller call,
-// its latency observation into lat and, on 200, the snapshot write;
-// the response is written after the lock is released, so a slow client
-// never holds it.
+// its latency observation into lat and, on 200, the durable append of
+// its record; the response is written after the lock is released, so
+// a slow client never holds it.
 func (s *Server) mutate(w http.ResponseWriter, r *http.Request, lat *hist.H, call mutation) {
 	release, ok := s.acquireMutation(r.Context())
 	if !ok {
@@ -410,8 +452,11 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, lat *hist.H, cal
 func (s *Server) commit(lat *hist.H, call mutation) (int, any) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
+	if s.closed {
+		return http.StatusServiceUnavailable, ErrorResponse{Error: "server closed"}
+	}
 	t0 := time.Now()
-	code, body, err := call()
+	code, body, rec, err := call()
 	elapsed := time.Since(t0)
 	if err != nil {
 		return code, ErrorResponse{Error: err.Error()}
@@ -422,7 +467,7 @@ func (s *Server) commit(lat *hist.H, call mutation) (int, any) {
 	if code != http.StatusOK {
 		return code, body
 	}
-	if err := s.persist(); err != nil {
+	if err := s.persist(rec); err != nil {
 		return http.StatusInternalServerError, ErrorResponse{
 			Error: fmt.Sprintf("snapshot: %v", err), Committed: true,
 		}
@@ -467,7 +512,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.ctl.State()
 	s.mu.Lock()
-	admitLat, withdrawLat := s.admitLat, s.withdrawLat
+	admitLat, withdrawLat, persistLat := s.admitLat, s.withdrawLat, s.persistLat
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -496,8 +541,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# HELP rtwormd_mutation_queue_depth Mutations holding or waiting for a queue slot.\n")
 	fmt.Fprintf(w, "# TYPE rtwormd_mutation_queue_depth gauge\n")
 	fmt.Fprintf(w, "rtwormd_mutation_queue_depth %d\n", len(s.mutSem))
+	fmt.Fprintf(w, "# HELP rtwormd_snapshot_compactions_total Snapshot files rewritten as one document, dropping the record tail.\n")
+	fmt.Fprintf(w, "# TYPE rtwormd_snapshot_compactions_total counter\n")
+	fmt.Fprintf(w, "rtwormd_snapshot_compactions_total %d\n", s.compactions.Load())
+	fmt.Fprintf(w, "# HELP rtwormd_compactions_skipped_total Compactions skipped because the committed report is infeasible.\n")
+	fmt.Fprintf(w, "# TYPE rtwormd_compactions_skipped_total counter\n")
+	fmt.Fprintf(w, "rtwormd_compactions_skipped_total %d\n", s.compactSkips.Load())
+	fmt.Fprintf(w, "# HELP rtwormd_snapshot_tail_records Durable records after the snapshot document.\n")
+	fmt.Fprintf(w, "# TYPE rtwormd_snapshot_tail_records gauge\n")
+	fmt.Fprintf(w, "rtwormd_snapshot_tail_records %d\n", s.tailRecords.Load())
 	writeHist(w, "rtwormd_admit_latency_us", "Admit mutation latency (recompute included), microseconds.", &admitLat)
 	writeHist(w, "rtwormd_withdraw_latency_us", "Withdraw mutation latency, microseconds.", &withdrawLat)
+	writeHist(w, "rtwormd_persist_latency_us", "Commit persistence (record append and fdatasync, compaction included), microseconds.", &persistLat)
 }
 
 // writeHist renders one hist.H as a Prometheus summary.
@@ -517,82 +572,4 @@ func writeHist(w io.Writer, name, help string, h *hist.H) {
 		mean = 0
 	}
 	fmt.Fprintf(w, "%s_sum %d\n", name, int64(mean*float64(h.Count())))
-}
-
-// persist writes the committed state to the configured path with an
-// atomic rename; a no-op without a path. The caller holds commitMu.
-func (s *Server) persist() error {
-	if s.snapshotPath == "" {
-		return nil
-	}
-	err := SaveSnapshot(s.ctl, s.snapshotPath)
-	if err != nil {
-		s.snapshotErrs.Add(1)
-	}
-	return err
-}
-
-// SaveSnapshot writes the controller's committed state to path
-// atomically: the
-// JSON document lands in a temp file in the same directory and is
-// renamed over the target, so a crash mid-write can never leave a
-// truncated snapshot.
-func SaveSnapshot(c *admit.Controller, path string) error {
-	sn, err := c.Snapshot()
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(sn, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".rtwormd-snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// LoadSnapshot reads a snapshot file and rebuilds its controller. The
-// boolean reports whether a snapshot existed; (nil, false, nil) means
-// "no file — boot fresh".
-func LoadSnapshot(path string, cfg admit.Config) (*admit.Controller, bool, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	var sn admit.Snapshot
-	if err := json.Unmarshal(data, &sn); err != nil {
-		// A truncated or corrupt file is an operator problem, not a
-		// boot-fresh situation: refuse loudly, naming the file and where
-		// parsing died, rather than silently discarding admitted state.
-		var syn *json.SyntaxError
-		if errors.As(err, &syn) {
-			return nil, false, fmt.Errorf("server: snapshot %s: corrupt or truncated at byte %d of %d: %w",
-				path, syn.Offset, len(data), err)
-		}
-		return nil, false, fmt.Errorf("server: snapshot %s: %w", path, err)
-	}
-	c, err := admit.Restore(&sn, cfg)
-	if err != nil {
-		return nil, false, fmt.Errorf("server: snapshot %s: %w", path, err)
-	}
-	return c, true, nil
 }

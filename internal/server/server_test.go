@@ -355,6 +355,10 @@ func TestMetricsAndHealthz(t *testing.T) {
 		"rtwormd_snapshot_errors_total 0",
 		"rtwormd_admit_latency_us_count 2",
 		"rtwormd_withdraw_latency_us_count 0",
+		"rtwormd_persist_latency_us_count 0",
+		"rtwormd_snapshot_compactions_total 0",
+		"rtwormd_compactions_skipped_total 0",
+		"rtwormd_snapshot_tail_records 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
