@@ -67,23 +67,22 @@ load-smoke:
 	$(GO) run ./cmd/rtwormload -ops 300 -rate 1000 -seed 1 -clients 6 \
 		-chaos -chaos-down 20ms -slo-errors 0 -slo-shed 0 -check -o /dev/null
 
-# Deterministic Monte-Carlo studies on the fast event engine with
-# -check cross-checking every replication against the cycle-accurate
-# oracle: a small 12-stream study, then two at the paper's section 5
-# scale (30000 flit times) — EXPERIMENTS.md's 20-stream study over
-# three arbiters and a contended 60-stream, 15-level point. See
-# docs/FASTSIM.md.
+# Deterministic Monte-Carlo studies (rtwmc simulates on the event
+# engine) with -check cross-checking every replication against the
+# cycle-accurate oracle: a small 12-stream study, then two at the
+# paper's section 5 scale (30000 flit times) — EXPERIMENTS.md's
+# 20-stream study over three arbiters and a contended 60-stream,
+# 15-level point. See docs/FASTSIM.md.
 mc-smoke:
 	$(GO) run ./cmd/rtwmc -topology mesh2d-10x10 -streams 12 -plevels 4 \
-		-seeds 4 -configs preemptive:2,li:2 -cycles 5000 -warmup 100 \
-		-engine event -check
+		-seeds 4 -configs preemptive:2,li:2 -cycles 5000 -warmup 100 -check
 	$(GO) run ./cmd/rtwmc -topology mesh2d-10x10 -streams 20 -plevels 4 \
 		-seeds 20 -baseseed 555 -configs preemptive:2,li:2,nonpreemptive-fifo:2 \
-		-cycles 30000 -warmup 200 -engine event -check
+		-cycles 30000 -warmup 200 -check
 	$(GO) run ./cmd/rtwmc -topology mesh2d-10x10 -streams 60 -plevels 15 \
 		-seeds 4 -baseseed 1 \
 		-configs preemptive:2,preemptive:1,li:2,nonpreemptive-priority:2,nonpreemptive-fifo:2 \
-		-cycles 30000 -warmup 200 -engine event -check
+		-cycles 30000 -warmup 200 -check
 
 # Tiny deterministic design-space smoke: sweep then synthesise an
 # 8-point grid with simulator cross-validation. -check fails the target

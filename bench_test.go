@@ -607,7 +607,6 @@ func BenchmarkMCReplications(b *testing.B) {
 	cfg := mc.Config{
 		Seeds:    8,
 		BaseSeed: 555,
-		Engine:   mc.EngineEvent,
 		Points: []mc.PointConfig{
 			{Topology: "mesh2d-10x10", Streams: 20, PLevels: 4, Arbiter: sim.Preemptive, Cycles: 30000, Warmup: 200},
 		},

@@ -5,12 +5,14 @@
 // Usage:
 //
 //	netsim [-cycles N] [-warmup N] [-arbiter preemptive|nonpreemptive-fifo|nonpreemptive-priority|li]
-//	       [-buffer N] [-strict] [-bounds] [-engine cycle|event] [file.json]
+//	       [-buffer N] [-strict] [-bounds] [file.json]
 //	netsim -topology ring-16 [-streams N] [-plevels P] [-genseed S] ...
 //
 // With -topology, no input file is read: a paper-§5-style workload is
 // generated on the named topology (mesh2d-WxH, torus2d-WxH,
 // hypercube-D or ring-N) with its canonical deterministic routing.
+// The run uses the event engine (package eventsim), whose statistics
+// are byte-identical to the cycle-accurate simulator's.
 package main
 
 import (
@@ -20,7 +22,7 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/mc"
+	"repro/internal/eventsim"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -39,7 +41,6 @@ func main() {
 	dropLate := flag.Bool("droplate", false, "abort messages older than their deadline")
 	jitter := flag.Int("jitter", 0, "sporadic release jitter added to each inter-release gap")
 	deadlock := flag.Int("deadlock", 0, "deadlock-detector threshold in cycles (0 = off)")
-	engine := flag.String("engine", mc.EngineCycle, "simulation engine: cycle (oracle) or event (fast)")
 	topoName := flag.String("topology", "", "generate a §5-style workload on this topology (mesh2d-WxH, torus2d-WxH, hypercube-D, ring-N) instead of reading a stream-set file")
 	streams := flag.Int("streams", 16, "generated streams (with -topology)")
 	plevels := flag.Int("plevels", 4, "generated priority levels (with -topology)")
@@ -47,7 +48,7 @@ func main() {
 	flag.Parse()
 
 	opts := simOptions{
-		dropLate: *dropLate, jitter: *jitter, deadlock: *deadlock, engine: *engine,
+		dropLate: *dropLate, jitter: *jitter, deadlock: *deadlock,
 		topology: *topoName, streams: *streams, plevels: *plevels, genseed: *genseed,
 	}
 	if err := run(*cycles, *warmup, *arbiter, *buffer, *strict, *bounds, *heatmap, *stalls, opts, flag.Args()); err != nil {
@@ -69,7 +70,6 @@ type simOptions struct {
 	dropLate bool
 	jitter   int
 	deadlock int
-	engine   string
 
 	// Workload generation (-topology mode).
 	topology string
@@ -130,7 +130,7 @@ func run(cycles, warmup int, arbiter string, buffer int, strict, bounds, heatmap
 			}
 		}
 	}
-	res, err := mc.RunEngine(opts.engine, set, sim.Config{
+	simulator, err := eventsim.New(set, sim.Config{
 		Cycles: cycles, Warmup: warmup, Arbiter: kind,
 		BufferDepth: buffer, StrictPhysicalPriority: strict,
 		DropLate: opts.dropLate, SporadicJitter: opts.jitter,
@@ -139,6 +139,7 @@ func run(cycles, warmup int, arbiter string, buffer int, strict, bounds, heatmap
 	if err != nil {
 		return err
 	}
+	res := simulator.Run()
 
 	fmt.Println(res.String())
 	if res.FirstDeadlockCycle >= 0 {

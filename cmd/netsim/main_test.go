@@ -50,14 +50,12 @@ func TestRunTopologyMode(t *testing.T) {
 	}
 }
 
-func TestRunEngineFlag(t *testing.T) {
-	opts := simOptions{topology: "ring-12", streams: 8, plevels: 4, genseed: 1, engine: "event"}
+// TestRunStallsDropLate drives a generated workload with the stall
+// decomposition and deadline drops on.
+func TestRunStallsDropLate(t *testing.T) {
+	opts := simOptions{topology: "ring-12", streams: 8, plevels: 4, genseed: 1, dropLate: true}
 	if err := run(1500, 100, "preemptive", 2, false, false, false, true, opts, nil); err != nil {
 		t.Fatal(err)
-	}
-	opts.engine = "warp"
-	if err := run(1500, 100, "preemptive", 2, false, false, false, false, opts, nil); err == nil {
-		t.Error("accepted unknown engine")
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/explore"
-	"repro/internal/mc"
 	"repro/internal/stream"
 )
 
@@ -75,7 +74,6 @@ type common struct {
 
 	validate bool
 	cycles   int
-	engine   string
 
 	costNode, costVC, costBuf int
 
@@ -99,9 +97,8 @@ func addCommon(fs *flag.FlagSet) *common {
 	fs.Int64Var(&c.seed, "seed", 1, "placement seed; same seed, same results")
 	fs.IntVar(&c.workers, "workers", 0, "evaluation workers (0 = GOMAXPROCS); any value gives byte-identical results")
 
-	fs.BoolVar(&c.validate, "validate", false, "cross-validate fully-admitting points in the flit-level simulator")
+	fs.BoolVar(&c.validate, "validate", false, "cross-validate fully-admitting points in the flit-level event simulator")
 	fs.IntVar(&c.cycles, "cycles", 0, "simulated flit times per validation run (0 = 5000)")
-	fs.StringVar(&c.engine, "engine", mc.EngineCycle, "validation engine: cycle (oracle) or event (fast)")
 
 	fs.IntVar(&c.costNode, "cost-node", 0, "cost-model weight per node (0 = default 4)")
 	fs.IntVar(&c.costVC, "cost-vc", 0, "cost-model weight per link VC (0 = default 2)")
@@ -175,13 +172,8 @@ func (c *common) cost() explore.CostModel {
 	return m
 }
 
-func (c *common) eval() (explore.EvalConfig, error) {
-	switch c.engine {
-	case "", mc.EngineCycle, mc.EngineEvent:
-	default:
-		return explore.EvalConfig{}, fmt.Errorf("-engine: unknown engine %q (want %q or %q)", c.engine, mc.EngineCycle, mc.EngineEvent)
-	}
-	return explore.EvalConfig{Validate: c.validate, ValidateCycles: c.cycles, Engine: c.engine}, nil
+func (c *common) eval() explore.EvalConfig {
+	return explore.EvalConfig{Validate: c.validate, ValidateCycles: c.cycles}
 }
 
 // emit writes one rendered artifact to its destination ('-' = out).
@@ -243,12 +235,8 @@ func runSweep(argv []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	eval, err := c.eval()
-	if err != nil {
-		return err
-	}
 	res, err := explore.Sweep(w, sp, explore.SweepConfig{
-		Seed: c.seed, Workers: c.workers, Cost: c.cost(), Eval: eval,
+		Seed: c.seed, Workers: c.workers, Cost: c.cost(), Eval: c.eval(),
 	})
 	if err != nil {
 		return err
@@ -314,12 +302,8 @@ func runSynth(argv []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	eval, err := c.eval()
-	if err != nil {
-		return err
-	}
 	res, err := explore.Synthesize(w, sp, explore.SynthConfig{
-		Seed: c.seed, Workers: c.workers, Cost: c.cost(), Eval: eval,
+		Seed: c.seed, Workers: c.workers, Cost: c.cost(), Eval: c.eval(),
 		ExhaustiveLimit: *exhaustive, ChunkSize: *chunk,
 	})
 	if err != nil {

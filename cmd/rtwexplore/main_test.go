@@ -64,23 +64,6 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepEngineFlag runs the validated tiny sweep under -engine
-// cycle and -engine event and requires byte-identical JSON.
-func TestSweepEngineFlag(t *testing.T) {
-	var runs [][]byte
-	for _, engine := range []string{"cycle", "event"} {
-		var out bytes.Buffer
-		args := append([]string{"sweep", "-json", "-", "-validate", "-cycles", "2000", "-engine", engine}, tiny...)
-		if err := run(args, &out); err != nil {
-			t.Fatalf("engine %s: %v", engine, err)
-		}
-		runs = append(runs, out.Bytes())
-	}
-	if !bytes.Equal(runs[0], runs[1]) {
-		t.Fatal("-engine event JSON differs from -engine cycle")
-	}
-}
-
 func TestSweepFileOutputs(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "sweep.json")
@@ -206,8 +189,7 @@ func TestBadInvocations(t *testing.T) {
 		{"sweep", "-vcs", "two"},
 		{"sweep", "-topos", "klein-bottle-4"},
 		{"sweep", "-workload", filepath.Join(t.TempDir(), "absent.json")},
-		{"sweep", "-validate", "-engine", "warp"},
-		{"synth", "-validate", "-engine", "warp"},
+		{"sweep", "-validate", "-engine", "event"}, // -engine is gone
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

@@ -7,14 +7,14 @@
 //
 //	rtwmc [-topology mesh2d-10x10] [-streams N] [-plevels P]
 //	      [-seeds N] [-baseseed S] [-configs arb[:buffer],...]
-//	      [-cycles N] [-warmup N] [-engine cycle|event] [-workers N]
-//	      [-check] [-json | -csv]
+//	      [-cycles N] [-warmup N] [-workers N] [-check] [-json | -csv]
 //
 // Each entry of -configs is an arbiter name (preemptive,
 // nonpreemptive-fifo, nonpreemptive-priority, li) with an optional
 // :buffer depth suffix; every entry becomes one study point sharing
-// the topology and traffic shape. Results are byte-identical for any
-// -workers value.
+// the topology and traffic shape. Replications simulate on the event
+// engine; -check re-runs each on the cycle-accurate oracle. Results
+// are byte-identical for any -workers value.
 package main
 
 import (
@@ -37,22 +37,21 @@ func main() {
 	configs := flag.String("configs", "preemptive", "comma-separated points: arbiter[:buffer] (e.g. preemptive:2,li:2)")
 	cycles := flag.Int("cycles", 30000, "simulated flit times per replication")
 	warmup := flag.Int("warmup", 200, "start-up flit times omitted from statistics")
-	engine := flag.String("engine", mc.EngineCycle, "simulation engine: cycle (oracle) or event (fast)")
 	workers := flag.Int("workers", 0, "parallel replications (0 = GOMAXPROCS); never affects results")
-	check := flag.Bool("check", false, "cross-check every replication against the other engine")
+	check := flag.Bool("check", false, "cross-check every replication against the cycle-accurate oracle")
 	asJSON := flag.Bool("json", false, "emit the full result (summaries + replications) as JSON")
 	asCSV := flag.Bool("csv", false, "emit one CSV row per replication")
 	flag.Parse()
 
 	if err := run(*topo, *streams, *plevels, *seeds, *baseSeed, *configs,
-		*cycles, *warmup, *engine, *workers, *check, *asJSON, *asCSV); err != nil {
+		*cycles, *warmup, *workers, *check, *asJSON, *asCSV); err != nil {
 		fmt.Fprintf(os.Stderr, "rtwmc: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(topo string, streams, plevels, seeds int, baseSeed int64, configs string,
-	cycles, warmup int, engine string, workers int, check, asJSON, asCSV bool) error {
+	cycles, warmup, workers int, check, asJSON, asCSV bool) error {
 	if asJSON && asCSV {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
 	}
@@ -61,8 +60,7 @@ func run(topo string, streams, plevels, seeds int, baseSeed int64, configs strin
 		return err
 	}
 	res, err := mc.Run(mc.Config{
-		Seeds: seeds, BaseSeed: baseSeed, Engine: engine,
-		Workers: workers, Check: check, Points: points,
+		Seeds: seeds, BaseSeed: baseSeed, Workers: workers, Check: check, Points: points,
 	})
 	if err != nil {
 		return err

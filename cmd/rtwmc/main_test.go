@@ -34,19 +34,19 @@ func TestParseConfigs(t *testing.T) {
 
 func TestRunSmoke(t *testing.T) {
 	if err := run("ring-8", 6, 3, 3, 1, "preemptive:2,li:2",
-		2000, 100, "event", 2, true, false, false); err != nil {
+		2000, 100, 2, true, false, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := run("ring-8", 6, 3, 2, 1, "preemptive",
-		2000, 100, "cycle", 1, false, true, false); err != nil {
+		2000, 100, 1, false, true, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := run("ring-8", 6, 3, 2, 1, "preemptive",
-		2000, 100, "cycle", 1, false, false, true); err != nil {
+		2000, 100, 1, false, false, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := run("ring-8", 6, 3, 2, 1, "preemptive",
-		2000, 100, "cycle", 1, false, true, true); err == nil ||
+		2000, 100, 1, false, true, true); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("json+csv accepted: %v", err)
 	}

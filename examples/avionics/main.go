@@ -18,6 +18,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/eventsim"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -107,7 +108,7 @@ func main() {
 	}
 
 	// Verify the accepted configuration end to end.
-	simulator, err := sim.New(set, sim.Config{Cycles: 40000, Warmup: 200})
+	simulator, err := eventsim.New(set, sim.Config{Cycles: 40000, Warmup: 200})
 	if err != nil {
 		log.Fatal(err)
 	}

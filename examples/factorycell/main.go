@@ -15,6 +15,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/eventsim"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -57,7 +58,7 @@ func main() {
 	// t=5, after the vision worm has acquired row 0.
 	offsets := []int{0, 0, 5}
 	run := func(kind sim.ArbiterKind) *sim.Result {
-		s, err := sim.New(set, sim.Config{Cycles: 30000, Warmup: 0, Arbiter: kind, Offsets: offsets})
+		s, err := eventsim.New(set, sim.Config{Cycles: 30000, Warmup: 0, Arbiter: kind, Offsets: offsets})
 		if err != nil {
 			log.Fatal(err)
 		}

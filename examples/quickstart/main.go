@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/eventsim"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -55,7 +56,7 @@ func main() {
 
 	// Step 3: simulate 20000 flit times of flit-level preemptive
 	// wormhole switching and compare measured latencies to the bounds.
-	simulator, err := sim.New(set, sim.Config{Cycles: 20000, Warmup: 200})
+	simulator, err := eventsim.New(set, sim.Config{Cycles: 20000, Warmup: 200})
 	if err != nil {
 		log.Fatal(err)
 	}

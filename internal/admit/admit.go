@@ -162,7 +162,7 @@ func New(t topology.Topology, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{topo: t, router: r, cfg: cfg}
-	c.state.Store(&State{Report: verdicts(set, nil), NextHandle: 1, set: set, analyzer: a})
+	c.state.Store(&State{Report: core.NewReport(set, nil), NextHandle: 1, set: set, analyzer: a})
 	return c, nil
 }
 
@@ -187,20 +187,6 @@ func (c *Controller) Streams() []Admitted { return c.State().Streams }
 // bounds and byte-identical to a fresh core.DetermineFeasibility on the
 // same set.
 func (c *Controller) Report() *core.Report { return c.State().Report }
-
-// verdicts assembles the report over set from its bounds u, row for
-// row what core.DetermineFeasibility reports.
-func verdicts(set *stream.Set, u []int) *core.Report {
-	rep := &core.Report{Feasible: true, Verdicts: make([]core.Verdict, set.Len())}
-	for i, s := range set.Streams {
-		v := core.Verdict{ID: s.ID, U: u[i], Deadline: s.Deadline, Feasible: u[i] >= 0 && u[i] <= s.Deadline}
-		rep.Verdicts[i] = v
-		if !v.Feasible {
-			rep.Feasible = false
-		}
-	}
-	return rep
-}
 
 // Admit attempts to admit one stream; see AdmitBatch.
 func (c *Controller) Admit(sp Spec) (*Result, error) {
@@ -305,7 +291,7 @@ func (c *Controller) admit(st *State, specs []Spec, handles []Handle) (*Result, 
 		u[id] = us[k]
 	}
 
-	res := &Result{Report: verdicts(cand, u), Recomputed: len(dirty)}
+	res := &Result{Report: core.NewReport(cand, u), Recomputed: len(dirty)}
 	next := *st
 	next.Stats.Recomputed += int64(len(dirty))
 	next.Stats.Cached += int64(cand.Len() - len(dirty))
@@ -421,7 +407,7 @@ func (c *Controller) Withdraw(handles ...Handle) (int, error) {
 	}
 
 	next := *st
-	next.Streams, next.Report = streams, verdicts(survivors, u)
+	next.Streams, next.Report = streams, core.NewReport(survivors, u)
 	next.set, next.analyzer = survivors, a
 	next.Stats.Withdrawn += int64(len(handles))
 	next.Stats.Recomputed += int64(len(dirty))

@@ -70,9 +70,8 @@ func mirrorReport(t *testing.T, topo topology.Topology, specs []Spec) *core.Repo
 	if err != nil {
 		t.Fatal(err)
 	}
-	calc := a.NewCalc()
 	for _, v := range rep.Verdicts {
-		u, err := calc.CalUHorizon(v.ID, v.Deadline)
+		u, err := a.CalUHorizon(v.ID, v.Deadline)
 		if err != nil {
 			t.Fatal(err)
 		}

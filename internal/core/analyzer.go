@@ -90,31 +90,13 @@ func (a *Analyzer) BDG(id stream.ID) (*BDG, error) {
 	return NewBDG(id, hp.WithoutOwner()), nil
 }
 
-// elements assembles the timing-diagram rows for id's HP set.
-func (a *Analyzer) elements(id stream.ID) []Element {
-	elems := a.hp(int(id)).WithoutOwner()
-	out := make([]Element, 0, len(elems))
-	for _, e := range elems {
-		s := a.Set.Get(e.ID)
-		out = append(out, Element{
-			ID:       s.ID,
-			Priority: s.Priority,
-			Period:   s.Period,
-			Length:   s.Length,
-			Mode:     e.Mode,
-			Via:      e.Via,
-		})
-	}
-	return out
-}
-
 // Diagram builds the final (modified) timing diagram for the given
 // stream over the given horizon.
 func (a *Analyzer) Diagram(id stream.ID, horizon int) (*Diagram, error) {
 	if _, err := a.HP(id); err != nil {
 		return nil, err
 	}
-	d, err := NewDiagram(a.elements(id), horizon)
+	d, err := newDiagram(a.elements(id, nil), horizon, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -128,57 +110,7 @@ func (a *Analyzer) InitialDiagram(id stream.ID, horizon int) (*Diagram, error) {
 	if _, err := a.HP(id); err != nil {
 		return nil, err
 	}
-	return NewDiagram(a.elements(id), horizon)
-}
-
-// CalU computes the delay upper bound of the given stream with the
-// deadline as horizon (the paper's Cal_U). It returns -1 when the bound
-// does not exist within the deadline (the stream is infeasible).
-//
-// CalU, CalUHorizon, CalUSearch and CalUSearchCap are one-shot
-// conveniences over a throwaway Calc. Their diagram scratch comes from
-// the pooled arenas all the same; a batch caller that holds a Calc
-// (see NewCalc) also reuses its element buffer.
-func (a *Analyzer) CalU(id stream.ID) (int, error) {
-	return a.NewCalc().CalU(id)
-}
-
-// CalUHorizon computes the delay upper bound with an explicit horizon.
-func (a *Analyzer) CalUHorizon(id stream.ID, horizon int) (int, error) {
-	return a.NewCalc().CalUHorizon(id, horizon)
-}
-
-// MaxSearchHorizon caps CalUSearch. A bound not found within this many
-// flit times means the HP demand saturates the stream's capacity.
-const MaxSearchHorizon = 1 << 21
-
-// CalUSearch computes a delay upper bound without a deadline cap: it is
-// CalUSearchCap at MaxSearchHorizon. Used by the simulation study,
-// which inflates periods when U > T rather than rejecting streams.
-func (a *Analyzer) CalUSearch(id stream.ID) (int, error) {
-	return a.CalUSearchCap(id, MaxSearchHorizon)
-}
-
-// CalUSearchCap is CalUSearch with an explicit horizon cap; it returns
-// -1 when no bound exists within maxHorizon. Evaluation harnesses use a
-// cap near the simulated time — a bound beyond the experiment horizon
-// carries no information and is expensive to chase.
-//
-// The search itself defines the bound. It visits the horizons h0·2^k,
-// where h0 is the larger of the deadline and the latency, up to the
-// cap. It returns the first bound u found at a horizon h with
-// u + margin ≤ h, where the margin is the largest HP period times the
-// number of HP elements plus one. When no visited horizon passes that
-// test, it returns the bound of the largest horizon that found one, or
-// -1. The margin keeps u clear of the windows the horizon cuts short,
-// but it does not make u the bound of any longer horizon. Once Modify
-// runs, Cal_U need not settle as the horizon grows: it can alternate
-// forever (TestCalUOscillatesWithHorizon), and a bound the margin
-// accepts can differ from the bound at every longer horizon
-// (TestCalUMarginRuleUnsound). CalU, which answers for one horizon,
-// stops early only on a certificate from the Modify run itself.
-func (a *Analyzer) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
-	return a.NewCalc().CalUSearchCap(id, maxHorizon)
+	return newDiagram(a.elements(id, nil), horizon, nil)
 }
 
 // Verdict is the feasibility result for one stream.
@@ -195,6 +127,21 @@ type Report struct {
 	Feasible bool // all streams feasible
 }
 
+// NewReport assembles the report over set from its bounds u, indexed
+// by stream ID: a stream is feasible iff its U exists and is at most
+// its deadline, and the set iff every stream is.
+func NewReport(set *stream.Set, u []int) *Report {
+	rep := &Report{Feasible: true, Verdicts: make([]Verdict, set.Len())}
+	for i, s := range set.Streams {
+		v := Verdict{ID: s.ID, U: u[i], Deadline: s.Deadline, Feasible: u[i] >= 0 && u[i] <= s.Deadline}
+		rep.Verdicts[i] = v
+		if !v.Feasible {
+			rep.Feasible = false
+		}
+	}
+	return rep
+}
+
 // DetermineFeasibility runs the paper's Determine-Feasibility: it
 // computes U for every stream (highest priority first) and succeeds iff
 // every U exists and is at most the stream's deadline.
@@ -203,5 +150,17 @@ func DetermineFeasibility(set *stream.Set) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.NewCalc().Feasibility()
+	return a.feasibility()
+}
+
+// feasibility is Determine-Feasibility over a's set.
+func (a *Analyzer) feasibility() (*Report, error) {
+	u := make([]int, a.Set.Len())
+	for _, s := range a.Set.ByPriorityDesc() {
+		var err error
+		if u[s.ID], err = a.CalU(s.ID); err != nil {
+			return nil, err
+		}
+	}
+	return NewReport(a.Set, u), nil
 }

@@ -146,8 +146,8 @@ func TestAnalyzerErrors(t *testing.T) {
 	if _, err := a.InitialDiagram(99, 10); err == nil {
 		t.Error("InitialDiagram(99) should fail")
 	}
-	if _, err := a.CalUSearch(99); err == nil {
-		t.Error("CalUSearch(99) should fail")
+	if _, err := a.CalUSearchCap(99, MaxSearchHorizon); err == nil {
+		t.Error("CalUSearchCap(99) should fail")
 	}
 	// Invalid sets are rejected up front.
 	set.Streams[0].Latency = 1
@@ -158,7 +158,7 @@ func TestAnalyzerErrors(t *testing.T) {
 
 func TestCalUSearchExtendsBeyondDeadline(t *testing.T) {
 	// A low-priority stream whose bound exceeds its deadline: CalU
-	// reports -1, CalUSearch finds the true bound.
+	// reports -1, CalUSearchCap finds the true bound.
 	m := topology.NewMesh2D(10, 1)
 	r := routing.NewXY(m)
 	set := stream.NewSet(m)
@@ -179,17 +179,17 @@ func TestCalUSearchExtendsBeyondDeadline(t *testing.T) {
 	if u != -1 {
 		t.Fatalf("CalU within deadline 12 = %d, want -1", u)
 	}
-	us, err := a.CalUSearch(1)
+	us, err := a.CalUSearchCap(1, MaxSearchHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if us <= 12 {
-		t.Fatalf("CalUSearch = %d, want > deadline", us)
+		t.Fatalf("CalUSearchCap = %d, want > deadline", us)
 	}
 	// Consistency: recomputing at a fixed larger horizon agrees.
 	u2, _ := a.CalUHorizon(1, 4*us)
 	if u2 != us {
-		t.Fatalf("CalUSearch = %d but CalUHorizon(4x) = %d", us, u2)
+		t.Fatalf("CalUSearchCap = %d but CalUHorizon(4x) = %d", us, u2)
 	}
 }
 
@@ -209,12 +209,12 @@ func TestCalUSearchSaturationReturnsMinusOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := a.CalUSearch(1)
+	u, err := a.CalUSearchCap(1, MaxSearchHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u != -1 {
-		t.Fatalf("CalUSearch under saturation = %d, want -1", u)
+		t.Fatalf("CalUSearchCap under saturation = %d, want -1", u)
 	}
 }
 
@@ -319,11 +319,11 @@ func TestBoundMonotoneInBlockers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			ub, err := ab.CalUSearch(stream.ID(i))
+			ub, err := ab.CalUSearchCap(stream.ID(i), MaxSearchHorizon)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ue, err := ae.CalUSearch(stream.ID(i + 1)) // shifted by the new stream
+			ue, err := ae.CalUSearchCap(stream.ID(i+1), MaxSearchHorizon) // shifted by the new stream
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +361,7 @@ func TestBoundAtLeastLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range set.Streams {
-			u, err := a.CalUSearch(s.ID)
+			u, err := a.CalUSearchCap(s.ID, MaxSearchHorizon)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,19 +2,18 @@ package core
 
 import "sync"
 
-// Arena is a grow-only scratch allocator for the timing-diagram
+// Arena is a grow-only scratch allocator for one Cal_U call: the
+// diagram rows it lays out (the HP elements), and the timing-diagram
 // engine's internal buffers (bitset words, demand windows, row
-// headers, Modify's re-layout scratch). Every Cal_U entry point of
-// Calc borrows one from a process-wide free list for the length of the
-// call and returns it reset, so a process that analyses thousands of
-// streams — with one Calc, or a fresh one per stream or per batch —
-// allocates roughly once per concurrent caller.
+// headers, Modify's re-layout scratch). Every Cal_U method of Analyzer
+// borrows one from a process-wide free list for the length of the call
+// and returns it reset, so a process that analyses thousands of
+// streams allocates roughly once per concurrent caller.
 //
 // Outside tests, only calc.go builds arena-backed diagrams, and its
-// entry points return an int or a Report, so no arena-backed slice
-// outlives the call that borrowed the arena. Keep it that way: a
-// diagram that escaped would be re-carved under its holder by the next
-// borrower.
+// methods return an int, so no arena-backed slice outlives the call
+// that borrowed the arena. Keep it that way: a diagram that escaped
+// would be re-carved under its holder by the next borrower.
 //
 // Carving hands out zeroed, capacity-clipped sub-slices. When a pool's
 // backing array runs out, a larger one replaces it; slices carved
@@ -30,6 +29,7 @@ type Arena struct {
 	sets  arenaPool[bitset]
 	rows  arenaPool[[]int]
 	ids   arenaPool[int32]
+	elems arenaPool[Element]
 }
 
 // arenas is the free list of idle arenas, the most recently returned
@@ -70,19 +70,21 @@ func returnArena(a *Arena) {
 
 // Reset recycles all storage: every slice carved before the call is
 // up for reuse, so the caller must have dropped them. The row headers
-// are cleared, so an idle arena does not pin backing arrays it has
-// replaced.
+// and the element rows are cleared, so an idle arena pins neither
+// backing arrays it has replaced nor an HP set's Via lists.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
 	clear(a.sets.buf[:a.sets.off])
 	clear(a.rows.buf[:a.rows.off])
+	clear(a.elems.buf[:a.elems.off])
 	a.words.reset()
 	a.ints.reset()
 	a.sets.reset()
 	a.rows.reset()
 	a.ids.reset()
+	a.elems.reset()
 }
 
 type arenaPool[T any] struct {
@@ -158,6 +160,13 @@ func (a *Arena) grabIDs(n int) []int32 {
 		return make([]int32, n)
 	}
 	return grab(&a.ids, n)
+}
+
+func (a *Arena) grabElements(n int) []Element {
+	if a == nil {
+		return make([]Element, n)
+	}
+	return grab(&a.elems, n)
 }
 
 // regrowWords returns a bitset of length n carrying old's contents in

@@ -7,39 +7,25 @@ import (
 	"repro/internal/stream"
 )
 
-// Calc is a reusable Cal_U calculator bound to one Analyzer. It keeps
-// an element buffer across calls; each Cal_U call borrows a scratch
-// Arena from a process-wide free list and returns it when the call
-// returns, so computing bounds for a whole set — or for the same set
-// over and over, as the sensitivity searches and the simulation-study
-// period inflation do — stops allocating diagram buffers once the
-// arenas have warmed up, whether the caller keeps one Calc or makes a
-// fresh one per call.
+// NewCalc returns a itself.
 //
-// A Calc is not safe for concurrent use; DetermineFeasibilityParallel
-// gives every worker its own. The Analyzer methods of the same names
-// are one-shot conveniences that create a throwaway Calc.
-type Calc struct {
-	a     *Analyzer
-	elems []Element // scratch rows handed to newDiagram, rebuilt per call
-}
+// Deprecated: Cal_U's methods live on Analyzer, whose every call
+// borrows its scratch from the pooled arenas; call them directly.
+func (a *Analyzer) NewCalc() *Analyzer { return a }
 
-// NewCalc returns a fresh calculator for the analyzer's stream set.
-func (a *Analyzer) NewCalc() *Calc { return &Calc{a: a} }
-
-// elements fills the scratch element buffer with the diagram rows for
-// id's HP set (owner excluded). The returned slice is owned by the
-// next diagram built from it and invalidated by the next call.
-func (c *Calc) elements(id stream.ID) []Element {
-	h := c.a.hp(int(id))
-	c.elems = c.elems[:0]
+// elements carves the diagram rows for id's HP set (owner excluded)
+// from ar, or allocates them when ar is nil. The rows are owned by the
+// next diagram built from them.
+func (a *Analyzer) elements(id stream.ID, ar *Arena) []Element {
+	h := a.hp(int(id))
+	elems := ar.grabElements(len(h.Elems))[:0]
 	for i := range h.Elems {
 		e := &h.Elems[i]
 		if e.ID == h.Owner {
 			continue
 		}
-		s := c.a.Set.Get(e.ID)
-		c.elems = append(c.elems, Element{
+		s := a.Set.Get(e.ID)
+		elems = append(elems, Element{
 			ID:       s.ID,
 			Priority: s.Priority,
 			Period:   s.Period,
@@ -48,7 +34,7 @@ func (c *Calc) elements(id stream.ID) []Element {
 			Via:      e.Via,
 		})
 	}
-	return c.elems
+	return elems
 }
 
 // CalU computes the delay upper bound of the given stream with the
@@ -56,14 +42,22 @@ func (c *Calc) elements(id stream.ID) []Element {
 // bound does not exist within the deadline (the stream is infeasible).
 // The result is CalUHorizon(id, deadline); see calUBounded for how it
 // gets there without always laying the diagram out to the deadline.
-func (c *Calc) CalU(id stream.ID) (int, error) {
-	s := c.a.Set.Get(id)
+//
+// Every Cal_U method borrows its scratch, element rows included, from
+// the pooled arenas for the length of the call, so computing bounds
+// for a whole set, or for the same set over and over as the
+// sensitivity searches and the period inflation do, stops allocating
+// once the arenas have warmed up. Once every HP set the calls read is
+// materialized (NewAnalyzer does it eagerly; see CalUBatchParallel),
+// the methods are safe for concurrent use.
+func (a *Analyzer) CalU(id stream.ID) (int, error) {
+	s := a.Set.Get(id)
 	if s == nil {
 		return 0, fmt.Errorf("core: no stream %d", id)
 	}
 	ar := borrowArena()
 	defer returnArena(ar)
-	return calUBounded(c.elements(id), s.Latency, s.Deadline, ar)
+	return calUBounded(a.elements(id, ar), s.Latency, s.Deadline, ar)
 }
 
 // calUBounded is the paper's Cal_U over elems with the deadline as
@@ -119,14 +113,14 @@ func calUBounded(elems []Element, required, deadline int, ar *Arena) (int, error
 // CalUHorizon computes the delay upper bound with an explicit horizon.
 // It always lays the diagram out to the horizon, so CalUHorizon(id,
 // deadline) is the oracle CalU is tested against.
-func (c *Calc) CalUHorizon(id stream.ID, horizon int) (int, error) {
-	s := c.a.Set.Get(id)
+func (a *Analyzer) CalUHorizon(id stream.ID, horizon int) (int, error) {
+	s := a.Set.Get(id)
 	if s == nil {
 		return 0, fmt.Errorf("core: no stream %d", id)
 	}
 	ar := borrowArena()
 	defer returnArena(ar)
-	d, err := newDiagram(c.elements(id), horizon, ar)
+	d, err := newDiagram(a.elements(id, ar), horizon, ar)
 	if err != nil {
 		return 0, err
 	}
@@ -134,9 +128,31 @@ func (c *Calc) CalUHorizon(id stream.ID, horizon int) (int, error) {
 	return d.DelayUpperBound(s.Latency), nil
 }
 
-// CalUSearchCap computes the delay upper bound with a doubling-horizon
-// search capped at maxHorizon; see Analyzer.CalUSearchCap for the
-// search and its margin rule.
+// MaxSearchHorizon caps CalUSearchCap. A bound not found within this
+// many flit times means the HP demand saturates the stream's capacity.
+const MaxSearchHorizon = 1 << 21
+
+// CalUSearchCap computes a delay upper bound without a deadline cap,
+// searching horizons up to maxHorizon; it returns -1 when no bound
+// exists within maxHorizon. The simulation study uses it, because it
+// inflates periods when U > T rather than rejecting streams, and
+// evaluation harnesses pass a cap near the simulated time: a bound
+// beyond the experiment horizon carries no information and is
+// expensive to chase.
+//
+// The search itself defines the bound. It visits the horizons h0·2^k,
+// where h0 is the larger of the deadline and the latency, up to the
+// cap. It returns the first bound u found at a horizon h with
+// u + margin ≤ h, where the margin is the largest HP period times the
+// number of HP elements plus one. When no visited horizon passes that
+// test, it returns the bound of the largest horizon that found one, or
+// -1. The margin keeps u clear of the windows the horizon cuts short,
+// but it does not make u the bound of any longer horizon. Once Modify
+// runs, Cal_U need not settle as the horizon grows: it can alternate
+// forever (TestCalUOscillatesWithHorizon), and a bound the margin
+// accepts can differ from the bound at every longer horizon
+// (TestCalUMarginRuleUnsound). CalU, which answers for one horizon,
+// stops early only on a certificate from the Modify run itself.
 //
 // The horizons h0·2^k are not all visited. A bound u is accepted only
 // once u + margin ≤ h, and u ≥ L, so no horizon below L + margin can
@@ -153,15 +169,17 @@ func (c *Calc) CalUHorizon(id stream.ID, horizon int) (int, error) {
 // when every visited horizon finds no bound are the skipped ones
 // evaluated, largest first, so the best-effort result stays exactly
 // that of the full doubling sequence.
-func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
-	s := c.a.Set.Get(id)
+func (a *Analyzer) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
+	s := a.Set.Get(id)
 	if s == nil {
 		return 0, fmt.Errorf("core: no stream %d", id)
 	}
 	if maxHorizon < 1 {
 		return 0, fmt.Errorf("core: max horizon %d must be positive", maxHorizon)
 	}
-	elems := c.elements(id)
+	ar := borrowArena()
+	defer returnArena(ar)
+	elems := a.elements(id, ar)
 	margin, hasIndirect := 0, false
 	for i := range elems {
 		if elems[i].Period > margin {
@@ -197,8 +215,6 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	for firstHorizon-s.Latency < margin && firstHorizon <= maxHorizon/2 {
 		firstHorizon *= 2
 	}
-	ar := borrowArena()
-	defer returnArena(ar)
 	init, err := newDiagram(elems, firstHorizon, ar)
 	if err != nil {
 		return 0, err
@@ -240,29 +256,4 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 		best = d.DelayUpperBound(s.Latency)
 	}
 	return best, nil
-}
-
-// CalUSearch is CalUSearchCap at the global MaxSearchHorizon.
-func (c *Calc) CalUSearch(id stream.ID) (int, error) {
-	return c.CalUSearchCap(id, MaxSearchHorizon)
-}
-
-// Feasibility runs the paper's Determine-Feasibility over the whole
-// set through CalU: U for every stream (highest priority first),
-// feasible iff every U exists and is at most the stream's deadline.
-func (c *Calc) Feasibility() (*Report, error) {
-	set := c.a.Set
-	rep := &Report{Feasible: true, Verdicts: make([]Verdict, set.Len())}
-	for _, s := range set.ByPriorityDesc() {
-		u, err := c.CalU(s.ID)
-		if err != nil {
-			return nil, err
-		}
-		v := Verdict{ID: s.ID, U: u, Deadline: s.Deadline, Feasible: u >= 0 && u <= s.Deadline}
-		rep.Verdicts[s.ID] = v
-		if !v.Feasible {
-			rep.Feasible = false
-		}
-	}
-	return rep, nil
 }

@@ -45,7 +45,7 @@ func TestCalUSearchCapMarginOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := a.NewCalc().CalUSearchCap(victim, MaxSearchHorizon)
+	u, err := a.CalUSearchCap(victim, MaxSearchHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCalUSearchCapMarginClampNearCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := a.NewCalc().CalUSearchCap(victim, MaxSearchHorizon)
+	u, err := a.CalUSearchCap(victim, MaxSearchHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,39 +91,42 @@ func TestCalUSearchCapMarginClampNearCap(t *testing.T) {
 	}
 }
 
-// TestCalcReuseMatchesOneShot: a single Calc recycled across every
-// stream of a set returns exactly what fresh one-shot Analyzer calls
-// return — buffer reuse must never leak state between calls.
+// TestCalcReuseMatchesOneShot: Cal_U's pooled scratch, recycled across
+// every stream of a set for three rounds in alternating order, returns
+// what a heap-allocated diagram returns and what the first round
+// returned: arena reuse must never leak state between calls.
 func TestCalcReuseMatchesOneShot(t *testing.T) {
 	set := paperExample(t)
 	a, err := NewAnalyzer(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calc := a.NewCalc()
+	first := make([]int, set.Len())
 	for round := 0; round < 3; round++ {
-		for _, s := range set.Streams {
-			got, err := calc.CalUSearchCap(s.ID, 1<<16)
+		for k := range set.Streams {
+			s := set.Streams[k]
+			if round%2 == 1 {
+				s = set.Streams[set.Len()-1-k]
+			}
+			got, err := a.CalUSearchCap(s.ID, 1<<16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := a.CalUSearchCap(s.ID, 1<<16)
+			if round == 0 {
+				first[s.ID] = got
+			} else if got != first[s.ID] {
+				t.Fatalf("round %d stream %d: CalUSearchCap = %d, round 0 = %d", round, s.ID, got, first[s.ID])
+			}
+			gotH, err := a.CalUHorizon(s.ID, 500)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("round %d stream %d: reused Calc = %d, one-shot = %d", round, s.ID, got, want)
-			}
-			gotH, err := calc.CalUHorizon(s.ID, 500)
+			d, err := a.Diagram(s.ID, 500)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantH, err := a.CalUHorizon(s.ID, 500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotH != wantH {
-				t.Fatalf("round %d stream %d: reused CalUHorizon = %d, one-shot = %d", round, s.ID, gotH, wantH)
+			if want := d.DelayUpperBound(s.Latency); gotH != want {
+				t.Fatalf("round %d stream %d: pooled CalUHorizon = %d, heap diagram = %d", round, s.ID, gotH, want)
 			}
 		}
 	}

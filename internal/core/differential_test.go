@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/stream"
@@ -204,7 +203,7 @@ func TestDifferentialWideWindows(t *testing.T) {
 // test package, whose §5 pools come from workload, which imports core.
 func CheckHPSetDifferential(t *testing.T, a *Analyzer, id stream.ID, horizon int) {
 	t.Helper()
-	elems := slices.Clone(a.NewCalc().elements(id))
+	elems := a.elements(id, nil)
 	checkModifyDifferential(t, nil, elems, horizon, fmt.Sprintf("stream %d", id))
 }
 

@@ -14,7 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-// assertCalUFullHorizon requires every stream's Calc.CalU, and its
+// assertCalUFullHorizon requires every stream's CalU, and its
 // bound in want when want is non-nil, to equal Cal_U laid out to the
 // stream's full deadline (CalUHorizon). It returns how many streams
 // have a deadline of MaxSearchHorizon.
@@ -24,17 +24,16 @@ func assertCalUFullHorizon(t *testing.T, label string, set *stream.Set, want *co
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	calc, oracle := a.NewCalc(), a.NewCalc()
 	capped := 0
 	for _, s := range set.Streams {
 		if s.Deadline == core.MaxSearchHorizon {
 			capped++
 		}
-		u, err := calc.CalU(s.ID)
+		u, err := a.CalU(s.ID)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		full, err := oracle.CalUHorizon(s.ID, s.Deadline)
+		full, err := a.CalUHorizon(s.ID, s.Deadline)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

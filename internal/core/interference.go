@@ -57,7 +57,7 @@ func (a *Analyzer) Interference(id stream.ID, horizon int) (*InterferenceReport,
 	if horizon <= 0 {
 		return nil, fmt.Errorf("core: horizon %d must be positive", horizon)
 	}
-	elems := a.elements(id)
+	elems := a.elements(id, nil)
 	full, err := NewDiagram(elems, horizon)
 	if err != nil {
 		return nil, err

@@ -13,21 +13,15 @@ import (
 // DetermineFeasibilityParallel is DetermineFeasibility with the
 // per-stream Cal_U computations fanned out over a worker pool. Every
 // stream's bound only reads the shared HP sets and builds its own
-// timing diagram, so the streams are embarrassingly parallel; results
-// are identical to the sequential test. workers <= 0 uses GOMAXPROCS.
-//
-// Each worker gets its own Calc. Every Cal_U call borrows its scratch
-// arena from the shared free list and returns it before the worker
-// takes the next stream, so the diagram buffers never cross
-// goroutines while in use and are recycled across workers and calls.
+// timing diagram in an arena it borrows for the call, so the streams
+// are embarrassingly parallel; results are identical to the sequential
+// test. workers <= 0 uses GOMAXPROCS.
 func DetermineFeasibilityParallel(set *stream.Set, workers int) (*Report, error) {
 	a, err := NewAnalyzer(set)
 	if err != nil {
 		return nil, err
 	}
-	return parallelFeasibilityPool(set, workers, func() func(stream.ID) (int, error) {
-		return a.NewCalc().CalU
-	})
+	return parallelFeasibility(set, workers, a.CalU)
 }
 
 // streamErr pairs a failed stream with its error so the propagated
@@ -51,43 +45,23 @@ type streamErr struct {
 //     error is propagated, so a single failing stream (the common
 //     case) reports identically for every worker count and schedule.
 func parallelFeasibility(set *stream.Set, workers int, calU func(stream.ID) (int, error)) (*Report, error) {
-	return parallelFeasibilityPool(set, workers, func() func(stream.ID) (int, error) { return calU })
-}
-
-// parallelFeasibilityPool is parallelFeasibility with a per-worker
-// calU factory: newCalU runs once in each worker goroutine, so a
-// stateful calculator (a Calc and its element buffer) is confined to
-// that worker without synchronization.
-func parallelFeasibilityPool(set *stream.Set, workers int, newCalU func() func(stream.ID) (int, error)) (*Report, error) {
 	ids := make([]stream.ID, set.Len())
 	for i := range ids {
 		ids[i] = stream.ID(i)
 	}
-	us, err := calUPool(ids, workers, newCalU)
+	us, err := calUPool(ids, workers, calU)
 	if err != nil {
 		return nil, fmt.Errorf("core: parallel feasibility: %w", err)
 	}
-	rep := &Report{Feasible: true, Verdicts: make([]Verdict, set.Len())}
-	for k, id := range ids {
-		s := set.Get(id)
-		rep.Verdicts[id] = Verdict{
-			ID: id, U: us[k], Deadline: s.Deadline,
-			Feasible: us[k] >= 0 && us[k] <= s.Deadline,
-		}
-		if !rep.Verdicts[id].Feasible {
-			rep.Feasible = false
-		}
-	}
-	return rep, nil
+	return NewReport(set, us), nil
 }
 
 // CalUBatchParallel computes the delay upper bound of each of ids over
 // a pool of workers (workers <= 0 uses GOMAXPROCS); the returned slice
-// aligns with ids. Every worker holds its own Calc exactly as in
-// DetermineFeasibilityParallel, and its calls borrow pooled arenas, so
-// a batch reuses the scratch earlier batches grew. The incremental
-// admission controller (package admit) uses this to recompute only the
-// dirty set of a mutation (see Dependents) through the pooled path.
+// aligns with ids. Every call borrows a pooled arena, so a batch reuses
+// the scratch earlier batches grew. The incremental admission
+// controller (package admit) uses this to recompute only the dirty set
+// of a mutation (see Dependents) through the pooled path.
 //
 // The error semantics match the full parallel test: any failure yields
 // (nil, error), remaining jobs are skipped after the first failure, and
@@ -102,9 +76,7 @@ func (a *Analyzer) CalUBatchParallel(ids []stream.ID, workers int) ([]int, error
 		// each worker only ever reads the rows of its own ids.
 		a.hp(int(id))
 	}
-	us, err := calUPool(ids, workers, func() func(stream.ID) (int, error) {
-		return a.NewCalc().CalU
-	})
+	us, err := calUPool(ids, workers, a.CalU)
 	if err != nil {
 		return nil, fmt.Errorf("core: parallel calU: %w", err)
 	}
@@ -115,7 +87,7 @@ func (a *Analyzer) CalUBatchParallel(ids []stream.ID, workers int) ([]int, error
 // bounds aligned with ids. See parallelFeasibility for the pinned
 // error-path semantics; the returned error names the smallest failing
 // stream ID and wraps its calU error.
-func calUPool(ids []stream.ID, workers int, newCalU func() func(stream.ID) (int, error)) ([]int, error) {
+func calUPool(ids []stream.ID, workers int, calU func(stream.ID) (int, error)) ([]int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -133,7 +105,6 @@ func calUPool(ids []stream.ID, workers int, newCalU func() func(stream.ID) (int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			calU := newCalU()
 			for k := range jobs {
 				if failed.Load() {
 					continue // drain: the result is already doomed

@@ -27,17 +27,16 @@ func checkSearchSet(t *testing.T, name string, set *stream.Set, a *core.Analyzer
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		jump, oracle := a.NewCalc(), a.NewCalc()
 		for _, s := range set.Streams {
 			for _, cap := range searchCaps {
 				if cap == core.MaxSearchHorizon && int(s.ID)%maxStride != 0 {
 					continue
 				}
-				got, err := jump.CalUSearchCap(s.ID, cap)
+				got, err := a.CalUSearchCap(s.ID, cap)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				want, err := core.CalUSearchDoubling(oracle, s.ID, cap)
+				want, err := core.CalUSearchDoubling(a, s.ID, cap)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -15,9 +15,11 @@ import (
 // evaluates each horizon on a modified clone. It is kept as the oracle
 // the horizon-jump search is pinned to (search_differential_test.go);
 // exported here so the external test package can reach it.
-func CalUSearchDoubling(c *Calc, id stream.ID, maxHorizon int) (int, error) {
-	s := c.a.Set.Get(id)
-	elems := c.elements(id)
+func CalUSearchDoubling(a *Analyzer, id stream.ID, maxHorizon int) (int, error) {
+	s := a.Set.Get(id)
+	ar := borrowArena()
+	defer returnArena(ar)
+	elems := a.elements(id, ar)
 	margin, hasIndirect := 0, false
 	for i := range elems {
 		if elems[i].Period > margin {
@@ -42,8 +44,6 @@ func CalUSearchDoubling(c *Calc, id stream.ID, maxHorizon int) (int, error) {
 	if h > maxHorizon {
 		return -1, nil
 	}
-	ar := borrowArena()
-	defer returnArena(ar)
 	init, err := newDiagram(elems, h, ar)
 	if err != nil {
 		return 0, err
@@ -73,14 +73,14 @@ func CalUSearchDoubling(c *Calc, id stream.ID, maxHorizon int) (int, error) {
 }
 
 // assertSearchMatchesDoubling compares CalUSearchCap with the doubling
-// oracle for one stream at one cap, each on its own Calc.
+// oracle for one stream at one cap.
 func assertSearchMatchesDoubling(t *testing.T, a *Analyzer, id stream.ID, maxHorizon int) int {
 	t.Helper()
-	got, err := a.NewCalc().CalUSearchCap(id, maxHorizon)
+	got, err := a.CalUSearchCap(id, maxHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CalUSearchDoubling(a.NewCalc(), id, maxHorizon)
+	want, err := CalUSearchDoubling(a, id, maxHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,25 +10,38 @@ import (
 // faces when admitting new traffic: how much bigger could a stream's
 // messages get, or how much faster could it run, before some deadline
 // in the set breaks? Both searches re-validate and re-analyse the set
-// per candidate value, but share one Calc across candidates: the HP
-// sets depend only on paths and priorities, which the searches never
-// touch, and the diagram scratch buffers amortize over the whole
-// binary search. Both use the monotonicity of interference in C and
-// 1/T.
+// per candidate value, but share one Analyzer across candidates: the
+// HP sets depend only on paths and priorities, which the searches
+// never touch, and Cal_U's scratch comes from the pooled arenas.
+//
+// Both are binary searches, which find the boundary only when
+// feasibility is monotone in the searched parameter, and the analysis
+// does not guarantee that. Every value either search returns has been
+// tested feasible, but it need not be the extreme one:
+//   - In T, monotonicity is false. A longer period can raise other
+//     streams' bounds: doubling one stream's T and D raised 10 bounds
+//     in 320 trials over §5's inflated pools (ROADMAP item 1(b)). So
+//     MinFeasiblePeriod can return a period above the smallest
+//     feasible one, and a period between its answer and the current
+//     one can be infeasible.
+//   - In C, monotonicity is unverified: no measurement has looked for
+//     a bound that falls when a message grows. MaxFeasibleLength's
+//     answer is a feasible length, not a proven largest one.
 
 // feasibilityProbe builds the per-candidate feasibility check the
 // sensitivity searches share: validate the mutated set (same check
-// NewAnalyzer would run), then test feasibility with a reused Calc.
+// NewAnalyzer would run), then run Determine-Feasibility on one reused
+// Analyzer.
 func feasibilityProbe(set *stream.Set) func() (bool, error) {
-	var calc *Calc
+	var a *Analyzer
 	return func() (bool, error) {
 		if err := set.Validate(); err != nil {
 			return false, err
 		}
-		if calc == nil {
-			calc = (&Analyzer{Set: set, hps: BuildHPSets(set)}).NewCalc()
+		if a == nil {
+			a = &Analyzer{Set: set, hps: BuildHPSets(set)}
 		}
-		rep, err := calc.Feasibility()
+		rep, err := a.feasibility()
 		if err != nil {
 			return false, err
 		}
@@ -36,10 +49,12 @@ func feasibilityProbe(set *stream.Set) func() (bool, error) {
 	}
 }
 
-// MaxFeasibleLength returns the largest message length for stream id
-// (keeping everything else fixed) such that the whole set stays
-// feasible, searched within [1, limit]. It returns 0 when the set is
-// infeasible even at length 1.
+// MaxFeasibleLength binary-searches [1, limit] for the largest message
+// length for stream id (keeping everything else fixed) such that the
+// whole set stays feasible. The length it returns keeps the set
+// feasible; it is the largest such length only if feasibility is
+// monotone in C (see the top of this file). It returns 0 when the set
+// is infeasible at every length it tried, length 1 included.
 func MaxFeasibleLength(set *stream.Set, id stream.ID, limit int) (int, error) {
 	s := set.Get(id)
 	if s == nil {
@@ -60,9 +75,10 @@ func MaxFeasibleLength(set *stream.Set, id stream.ID, limit int) (int, error) {
 		s.Latency = stream.NetworkLatency(s.Path.Hops(), c)
 		return probe()
 	}
-	// Binary search for the last feasible value: feasibility is
-	// monotone non-increasing in C (longer messages only add demand
-	// and latency).
+	// Binary search for the last feasible value, assuming feasibility
+	// is monotone non-increasing in C: a longer message adds demand
+	// and latency, but whether a shorter one can raise some bound is
+	// unverified (see the top of this file).
 	lo, hi := 0, limit // lo = known-feasible (0 = none), hi = first unknown
 	okAt := 0
 	for lo < hi {
@@ -81,10 +97,12 @@ func MaxFeasibleLength(set *stream.Set, id stream.ID, limit int) (int, error) {
 	return okAt, nil
 }
 
-// MinFeasiblePeriod returns the smallest period for stream id (with the
-// deadline tracking the period) such that the whole set stays feasible,
-// searched within [floor, current period]. It returns 0 when even the
-// current period is infeasible.
+// MinFeasiblePeriod binary-searches [floor, current period] for the
+// smallest period for stream id (with the deadline tracking the
+// period) such that the whole set stays feasible. The period it
+// returns keeps the set feasible, but feasibility is not monotone in T
+// (see the top of this file), so a smaller feasible period may exist.
+// It returns 0 when even the current period is infeasible.
 func MinFeasiblePeriod(set *stream.Set, id stream.ID, floor int) (int, error) {
 	s := set.Get(id)
 	if s == nil {
@@ -107,8 +125,10 @@ func MinFeasiblePeriod(set *stream.Set, id stream.ID, floor int) (int, error) {
 		s.Deadline = t
 		return probe()
 	}
-	// Feasibility is monotone non-decreasing in T: shorter periods add
-	// demand and tighten the deadline.
+	// Binary search for the first feasible value, assuming feasibility
+	// is monotone non-decreasing in T. It is not: a longer period can
+	// raise a bound (see the top of this file), so hi is a feasible
+	// period, not always the smallest one.
 	ok, err := try(origT)
 	if err != nil {
 		return 0, err

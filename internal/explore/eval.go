@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/admit"
-	"repro/internal/mc"
+	"repro/internal/eventsim"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -24,11 +24,6 @@ type EvalConfig struct {
 	// (default 5000 flit times, warmup 0 so the critical-instant
 	// releases are counted).
 	ValidateCycles int
-	// Engine selects the validation simulator: "" or mc.EngineCycle
-	// for the cycle-accurate oracle, mc.EngineEvent for the fast
-	// event-driven engine (byte-identical stats, pinned by the
-	// eventsim differential battery).
-	Engine string
 }
 
 func (c EvalConfig) cycles() int {
@@ -129,7 +124,7 @@ func Evaluate(w Workload, p Point, cost CostModel, cfg EvalConfig, placementSeed
 	res.Admitting = res.FullyAdmitted
 
 	if cfg.Validate && res.FullyAdmitted {
-		misses, delivered, err := simValidate(topo, router, admitted, p.Buffer, cfg.cycles(), cfg.Engine)
+		misses, delivered, err := simValidate(topo, router, admitted, p.Buffer, cfg.cycles())
 		if err != nil {
 			res.ValidateError = err.Error()
 			res.Admitting = false
@@ -194,22 +189,29 @@ func assignPriorities(specs []admit.Spec, policy string, vcs int) error {
 	return nil
 }
 
-// runEngine is swappable so tests can inject a failing engine and
-// prove a validation error stays in the point result.
-var runEngine = mc.RunEngine
+// simulate runs one validation simulation on the event engine. It is
+// swappable so tests can inject a failing run and prove a validation
+// error stays in the point result.
+var simulate = func(set *stream.Set, cfg sim.Config) (*sim.Result, error) {
+	s, err := eventsim.New(set, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(), nil
+}
 
 // simValidate replays the admitted set through the flit-level
 // simulator at the point's buffer depth and returns (deadline misses,
 // deliveries). All streams release at cycle 0 — the critical instant
 // of the analysis — and warmup is 0 so every delivery counts.
-func simValidate(topo topology.Topology, router routing.Router, specs []admit.Spec, buffer, cycles int, engine string) (int, int, error) {
+func simValidate(topo topology.Topology, router routing.Router, specs []admit.Spec, buffer, cycles int) (int, int, error) {
 	set := stream.NewSet(topo)
 	for _, sp := range specs {
 		if _, err := set.Add(router, sp.Src, sp.Dst, sp.Priority, sp.Period, sp.Length, sp.Deadline); err != nil {
 			return 0, 0, err
 		}
 	}
-	res, err := runEngine(engine, set, sim.Config{
+	res, err := simulate(set, sim.Config{
 		Cycles: cycles, Warmup: 0,
 		Arbiter: sim.Preemptive, BufferDepth: buffer,
 	})

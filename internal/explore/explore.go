@@ -11,10 +11,10 @@
 // (package admit, pinned byte-identical to core.DetermineFeasibility),
 // and the point's score is the admitted stream count and admitted
 // utilization. Optionally every fully-admitting point is
-// cross-validated in the flit-level simulator (package sim) with the
-// point's buffer depth: zero deadline misses required, connecting the
-// swept buffer-depth axis to the buffering-effects literature
-// (arXiv 1606.02942).
+// cross-validated in the flit-level event simulator (package eventsim)
+// with the point's buffer depth: zero deadline misses required,
+// connecting the swept buffer-depth axis to the buffering-effects
+// literature (arXiv 1606.02942).
 //
 // Everything is deterministic: the grid is enumerated in a fixed
 // lexicographic order (package grid), per-point randomness derives

@@ -8,26 +8,23 @@ import (
 	"repro/internal/stream"
 )
 
-// crossCheck re-runs the replication under the other engine and fails
-// on any difference — the Monte-Carlo layer's end-to-end guard that
-// the fast engine's statistics are byte-identical to the oracle's on
-// the exact workloads under study.
-func crossCheck(engine string, set *stream.Set, cfg sim.Config, got *sim.Result) error {
-	other := EngineCycle
-	if engine == "" || engine == EngineCycle {
-		other = EngineEvent
-	}
-	want, err := RunEngine(other, set, cfg)
+// crossCheck re-runs the replication on the cycle-accurate oracle and
+// fails on any difference — the Monte-Carlo layer's end-to-end guard
+// that the event engine's statistics are byte-identical to the
+// oracle's on the exact workloads under study.
+func crossCheck(set *stream.Set, cfg sim.Config, got *sim.Result) error {
+	s, err := sim.New(set, cfg)
 	if err != nil {
-		return fmt.Errorf("check (%s engine): %w", other, err)
+		return fmt.Errorf("check (cycle engine): %w", err)
 	}
+	want := s.Run()
 	if reflect.DeepEqual(want, got) {
 		return nil
 	}
 	for i := range want.PerStream {
 		if !reflect.DeepEqual(want.PerStream[i], got.PerStream[i]) {
-			return fmt.Errorf("check: stream %d stats differ between engines:\n %s: %+v\n %s: %+v",
-				i, other, want.PerStream[i], engine, got.PerStream[i])
+			return fmt.Errorf("check: stream %d stats differ between engines:\n cycle: %+v\n event: %+v",
+				i, want.PerStream[i], got.PerStream[i])
 		}
 	}
 	return fmt.Errorf("check: results differ between engines (channel stats or run-level scalars)")

@@ -16,7 +16,6 @@ import (
 // worker scheduling must never show through.
 func TestWorkerCountInvariance(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Engine = EngineEvent
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var ref *Result
 	var refJSON []byte
@@ -55,7 +54,6 @@ func TestReplicationPoolRace(t *testing.T) {
 			cfg := Config{
 				Seeds:    3,
 				BaseSeed: int64(g),
-				Engine:   EngineEvent,
 				Workers:  3,
 				Points: []PointConfig{
 					{Topology: "mesh2d-4x4", Streams: 6, PLevels: 2, Arbiter: sim.Preemptive, Cycles: 1500, Warmup: 50},

@@ -8,6 +8,10 @@
 // grid.PointSeed(BaseSeed, p*Seeds+r), every replication is a pure
 // function of that seed, and results are merged in replication-index
 // order — so the output is byte-identical for any worker count.
+//
+// Every replication simulates on the event engine (package eventsim);
+// Config.Check re-runs each one on the cycle-accurate oracle (package
+// sim) and fails the study on any difference.
 package mc
 
 import (
@@ -20,43 +24,22 @@ import (
 	"repro/internal/grid"
 	"repro/internal/hist"
 	"repro/internal/sim"
-	"repro/internal/stream"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
-// Engine names accepted by Config.Engine (and the -engine CLI flags).
-const (
-	EngineCycle = "cycle"
-	EngineEvent = "event"
-)
-
-// RunEngine runs one simulation under the named engine. The empty name
-// means the cycle-accurate oracle; "event" selects the event-driven
-// fast engine, which is pinned byte-identical by the eventsim
-// differential battery.
-func RunEngine(engine string, set *stream.Set, cfg sim.Config) (*sim.Result, error) {
-	switch engine {
-	case "", EngineCycle:
-		s, err := sim.New(set, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return s.Run(), nil
-	case EngineEvent:
-		s, err := eventsim.New(set, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return s.Run(), nil
-	default:
-		return nil, fmt.Errorf("mc: unknown engine %q (want %q or %q)", engine, EngineCycle, EngineEvent)
-	}
-}
+// EngineEvent names the event engine, which every replication runs
+// on.
+//
+// Deprecated: Config.Engine accepts it only so that callers which set
+// it keep working; leave Config.Engine unset.
+const EngineEvent = "event"
 
 // PointConfig is one network configuration of the study: a topology
 // and traffic shape plus the simulator knobs. The zero values of
-// Cycles/Warmup/Buffer default to the §5 study's 30000/200/2.
+// Cycles and Buffer default to the §5 study's 30000 and 2. A zero
+// Warmup means no warm-up: the §5 study's 200 must be set explicitly,
+// as rtwmc's -warmup default does.
 type PointConfig struct {
 	Name     string          `json:"name"`
 	Topology string          `json:"topology"` // topology.Parse name
@@ -97,15 +80,16 @@ type Config struct {
 	// BaseSeed feeds grid.PointSeed; studies with the same base seed
 	// simulate identical workloads.
 	BaseSeed int64
-	// Engine selects the simulation engine for every replication
-	// ("cycle" by default).
+	// Engine must be "" or EngineEvent: every replication simulates
+	// on the event engine (package eventsim).
+	//
+	// Deprecated: leave it unset.
 	Engine string
 	// Workers caps the worker pool; 0 means GOMAXPROCS. The worker
 	// count never changes results, only wall-clock time.
 	Workers int
-	// Check cross-checks every replication against the cycle-accurate
-	// oracle and fails the run on any stat mismatch. Meaningful with
-	// Engine "event" (with "cycle" it just runs everything twice).
+	// Check re-runs every replication on the cycle-accurate oracle
+	// (package sim) and fails the run on any stat mismatch.
 	Check bool
 	// Points are the configurations under study.
 	Points []PointConfig
@@ -143,7 +127,6 @@ type PointSummary struct {
 type Result struct {
 	Seeds        int            `json:"seeds"`
 	BaseSeed     int64          `json:"baseSeed"`
-	Engine       string         `json:"engine"`
 	Points       []PointSummary `json:"points"`
 	Replications []Replication  `json:"replications"`
 }
@@ -158,10 +141,8 @@ func (c Config) validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("mc: workers %d must be >= 0", c.Workers)
 	}
-	switch c.Engine {
-	case "", EngineCycle, EngineEvent:
-	default:
-		return fmt.Errorf("mc: unknown engine %q", c.Engine)
+	if c.Engine != "" && c.Engine != EngineEvent {
+		return fmt.Errorf("mc: unknown engine %q (every replication runs on the event engine)", c.Engine)
 	}
 	return nil
 }
@@ -177,10 +158,6 @@ func Run(cfg Config) (*Result, error) {
 	points := make([]PointConfig, len(cfg.Points))
 	for i, p := range cfg.Points {
 		points[i] = p.withDefaults()
-	}
-	engine := cfg.Engine
-	if engine == "" {
-		engine = EngineCycle
 	}
 	workers := cfg.Workers
 	if workers == 0 {
@@ -211,7 +188,7 @@ func Run(cfg Config) (*Result, error) {
 			for i := range jobs {
 				pi, si := i/cfg.Seeds, i%cfg.Seeds
 				rep, err := runReplication(points[pi], pi, si,
-					grid.PointSeed(cfg.BaseSeed, i), engine, cfg.Check)
+					grid.PointSeed(cfg.BaseSeed, i), cfg.Check)
 				out <- repOut{pos: i, rep: rep, err: err}
 			}
 		}()
@@ -231,7 +208,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Seeds: cfg.Seeds, BaseSeed: cfg.BaseSeed, Engine: engine, Replications: reps}
+	res := &Result{Seeds: cfg.Seeds, BaseSeed: cfg.BaseSeed, Replications: reps}
 	for pi, p := range points {
 		res.Points = append(res.Points, summarize(p, reps[pi*cfg.Seeds:(pi+1)*cfg.Seeds]))
 	}
@@ -270,9 +247,9 @@ func failures(points []PointConfig, seeds int, errs []error) error {
 		failed, len(errs), len(bad), len(points), errors.Join(bad...))
 }
 
-// runReplication simulates one generated workload and extracts the
-// replication's scalar metrics.
-func runReplication(p PointConfig, pi, si int, wseed int64, engine string, check bool) (Replication, error) {
+// runReplication simulates one generated workload on the event engine
+// and extracts the replication's scalar metrics.
+func runReplication(p PointConfig, pi, si int, wseed int64, check bool) (Replication, error) {
 	rep := Replication{Point: pi, Seed: si, WorkloadSeed: wseed}
 	topo, err := topology.Parse(p.Topology)
 	if err != nil {
@@ -287,12 +264,13 @@ func runReplication(p PointConfig, pi, si int, wseed int64, engine string, check
 		Cycles: p.Cycles, Warmup: p.Warmup,
 		Arbiter: p.Arbiter, BufferDepth: p.Buffer,
 	}
-	r, err := RunEngine(engine, set, scfg)
+	s, err := eventsim.New(set, scfg)
 	if err != nil {
 		return rep, err
 	}
+	r := s.Run()
 	if check {
-		if err := crossCheck(engine, set, scfg, r); err != nil {
+		if err := crossCheck(set, scfg, r); err != nil {
 			return rep, err
 		}
 	}

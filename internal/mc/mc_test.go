@@ -59,32 +59,11 @@ func TestRunMatchesDirectSimulation(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalence runs the same small study under both engines
-// and requires identical replication metrics.
-func TestEngineEquivalence(t *testing.T) {
-	cfg := smallConfig()
-	cycle, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Engine = EngineEvent
-	event, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cycle.Replications {
-		if cycle.Replications[i] != event.Replications[i] {
-			t.Fatalf("replication %d differs:\n cycle: %+v\n event: %+v",
-				i, cycle.Replications[i], event.Replications[i])
-		}
-	}
-}
-
-// TestCheckMode exercises the per-replication engine cross-check.
+// TestCheckMode exercises the per-replication cross-check against the
+// cycle-accurate oracle.
 func TestCheckMode(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Seeds = 2
-	cfg.Engine = EngineEvent
 	cfg.Check = true
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
@@ -117,10 +96,14 @@ func TestValidation(t *testing.T) {
 		{Seeds: 1},
 		{Seeds: 1, Workers: -1, Points: []PointConfig{{}}},
 		{Seeds: 1, Engine: "warp", Points: []PointConfig{{}}},
+		{Seeds: 1, Engine: "cycle", Points: []PointConfig{{}}},
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
+	}
+	if err := (Config{Seeds: 1, Engine: EngineEvent, Points: []PointConfig{{}}}).validate(); err != nil {
+		t.Fatalf("Engine %q refused: %v", EngineEvent, err)
 	}
 	if _, err := Run(Config{Seeds: 1, Points: []PointConfig{{Topology: "nonsense-3"}}}); err == nil {
 		t.Fatal("bad topology accepted")

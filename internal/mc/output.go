@@ -52,8 +52,8 @@ func (r *Result) CSV(w io.Writer) error {
 // mean ± CI95 for each metric.
 func (r *Result) Table(w io.Writer) error {
 	for _, p := range r.Points {
-		if _, err := fmt.Fprintf(w, "%s (%d streams, %d plevels, %d cycles, %d reps, %s engine)\n",
-			p.Name, p.Streams, p.PLevels, p.Cycles, p.Reps, r.Engine); err != nil {
+		if _, err := fmt.Fprintf(w, "%s (%d streams, %d plevels, %d cycles, %d reps)\n",
+			p.Name, p.Streams, p.PLevels, p.Cycles, p.Reps); err != nil {
 			return err
 		}
 		rows := []struct {

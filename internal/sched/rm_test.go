@@ -124,7 +124,7 @@ func TestRMIgnoresIndirectBlocking(t *testing.T) {
 	if e := hp.Get(mid1); e == nil || e.Mode != core.Indirect {
 		t.Fatalf("mid1 should be indirect in the victim's HP set: %s", hp.String())
 	}
-	paperBound, err := a.CalUSearch(victim)
+	paperBound, err := a.CalUSearchCap(victim, core.MaxSearchHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,12 +177,6 @@ func (s *Server) InFlight() int64 { return s.inflight.Load() }
 // http.ErrServerClosed after a graceful shutdown, like net/http.
 func (s *Server) Serve(l net.Listener) error { return s.httpSrv.Serve(l) }
 
-// ListenAndServe listens on addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	s.httpSrv.Addr = addr
-	return s.httpSrv.ListenAndServe()
-}
-
 // Shutdown gracefully stops the server: no new connections, in-flight
 // requests drain until ctx expires. Then it fences off commits, as
 // Close does.

@@ -18,9 +18,8 @@ func inflateFullPasses(set *stream.Set, a *core.Analyzer, ucap, maxPasses int) (
 	changedPasses := 0
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
-		calc := a.NewCalc()
 		for _, s := range set.Streams {
-			u, err := calc.CalUSearchCap(s.ID, ucap)
+			u, err := a.CalUSearchCap(s.ID, ucap)
 			if err != nil {
 				return 0, err
 			}
@@ -86,9 +85,8 @@ func checkInflate(t *testing.T, name string, ucap, maxPasses int, gen func() (*s
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	calc := fresh.NewCalc()
 	for _, s := range got.Streams {
-		want, err := calc.CalUSearchCap(s.ID, ucap)
+		want, err := fresh.CalUSearchCap(s.ID, ucap)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -161,7 +161,6 @@ func inflate(set *stream.Set, a *core.Analyzer, ucap, maxPasses int) ([]int, err
 	for i := range stale {
 		stale[i] = true
 	}
-	calc := a.NewCalc()
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
 		for _, s := range set.Streams {
@@ -169,7 +168,7 @@ func inflate(set *stream.Set, a *core.Analyzer, ucap, maxPasses int) ([]int, err
 				continue
 			}
 			stale[s.ID] = false
-			u, err := calc.CalUSearchCap(s.ID, ucap)
+			u, err := a.CalUSearchCap(s.ID, ucap)
 			if err != nil {
 				return nil, err
 			}
@@ -210,7 +209,7 @@ func inflate(set *stream.Set, a *core.Analyzer, ucap, maxPasses int) ([]int, err
 	// bounds the last changes made stale up to date, periods unchanged.
 	for _, s := range set.Streams {
 		if stale[s.ID] {
-			u, err := calc.CalUSearchCap(s.ID, ucap)
+			u, err := a.CalUSearchCap(s.ID, ucap)
 			if err != nil {
 				return nil, err
 			}
