@@ -535,7 +535,7 @@ func BenchmarkInflate(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				us, err := workload.Inflate(set, a, 1<<16)
+				us, err := workload.Inflate(set, a)
 				if err != nil {
 					b.Fatal(err)
 				}

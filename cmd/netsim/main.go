@@ -125,7 +125,7 @@ func run(cycles, warmup int, arbiter string, buffer int, strict, bounds, heatmap
 		}
 		us = make([]int, set.Len())
 		for _, s := range set.Streams {
-			if us[s.ID], err = a.CalUSearchCap(s.ID, 1<<16); err != nil {
+			if us[s.ID], err = a.CalUSearchCap(s.ID, workload.UCap); err != nil {
 				return err
 			}
 		}

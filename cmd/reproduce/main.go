@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/crosscheck"
 	"repro/internal/exp"
 	"repro/internal/viz"
 )
@@ -160,7 +159,7 @@ func run(dir string, trials, cycles int) error {
 	summary.WriteString("\n")
 
 	// Differential validation.
-	cc, err := crosscheck.Run(crosscheck.Config{Trials: trials * 3, Cycles: cycles, Seed: 7})
+	cc, err := exp.CrossCheck(exp.CrossCheckConfig{Trials: trials * 3, Cycles: cycles, Seed: 7})
 	if err != nil {
 		return err
 	}

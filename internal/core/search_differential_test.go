@@ -23,7 +23,7 @@ func checkSearchSet(t *testing.T, name string, set *stream.Set, a *core.Analyzer
 	t.Helper()
 	for _, phase := range []string{"before inflation", "after inflation"} {
 		if phase == "after inflation" {
-			if _, err := workload.Inflate(set, a, 1<<16); err != nil {
+			if _, err := workload.Inflate(set, a); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}

@@ -269,7 +269,7 @@ func TestDifferentialLongHorizon(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := workload.Inflate(set, analyzer, 1<<16); err != nil {
+		if _, err := workload.Inflate(set, analyzer); err != nil {
 			t.Fatal(err)
 		}
 		cfg := sim.Config{Cycles: 30000, Warmup: 200, Arbiter: sim.Preemptive}

@@ -1,15 +1,15 @@
-package crosscheck
+package exp
 
 import (
 	"strings"
 	"testing"
 )
 
-// TestCampaignRuns: a small campaign completes, checks a plausible
-// number of bounds, and any violation it finds is attributable to
-// same-priority VC sharing.
-func TestCampaignRuns(t *testing.T) {
-	rep, err := Run(Config{Trials: 3, Streams: 12, PLevels: 4, Seed: 5, Cycles: 8000})
+// TestCrossCheckCampaignRuns: a small campaign completes, checks a
+// plausible number of bounds, and any violation it finds is
+// attributable to same-priority VC sharing.
+func TestCrossCheckCampaignRuns(t *testing.T) {
+	rep, err := CrossCheck(CrossCheckConfig{Trials: 3, Streams: 12, PLevels: 4, Seed: 5, Cycles: 8000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,11 @@ func TestCampaignRuns(t *testing.T) {
 	}
 }
 
-// TestDistinctPrioritiesAreClean: with one stream per priority level
-// there is no VC sharing, so the bounds must hold unconditionally.
-func TestDistinctPrioritiesAreClean(t *testing.T) {
-	rep, err := Run(Config{Trials: 4, Streams: 10, PLevels: 64, Seed: 11, Cycles: 10000})
+// TestCrossCheckDistinctPrioritiesAreClean: with one stream per
+// priority level there is no VC sharing, so the bounds must hold
+// unconditionally.
+func TestCrossCheckDistinctPrioritiesAreClean(t *testing.T) {
+	rep, err := CrossCheck(CrossCheckConfig{Trials: 4, Streams: 10, PLevels: 64, Seed: 11, Cycles: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,20 +47,20 @@ func TestDistinctPrioritiesAreClean(t *testing.T) {
 	}
 }
 
-// TestFormatNamesGenuineViolations: the benign-sharing note is printed
-// only when every violation has same-priority sharing; a violation
-// without it is the genuine defect cmd/crosscheck exits 2 for, and the
-// summary must say so instead of calling it benign.
-func TestFormatNamesGenuineViolations(t *testing.T) {
+// TestCrossCheckFormatNamesGenuineViolations: the benign-sharing note
+// is printed only when every violation has same-priority sharing; a
+// violation without it is the candidate defect cmd/crosscheck exits 2
+// for, and the summary must say so instead of calling it benign.
+func TestCrossCheckFormatNamesGenuineViolations(t *testing.T) {
 	const benign = "all violations stem from same-priority VC sharing"
 	sharing := Violation{Stream: 1, U: 10, MaxLatency: 12, SamePriorityOverlaps: 2}
 	genuine := Violation{Stream: 2, U: 10, MaxLatency: 11}
 
-	rep := &Report{Violations: []Violation{sharing}}
+	rep := &CrossCheckReport{Violations: []Violation{sharing}}
 	if rep.Genuine() != 0 || !strings.Contains(rep.Format(), benign) {
 		t.Errorf("sharing-only report: Genuine() = %d, want 0 and the benign note:\n%s", rep.Genuine(), rep.Format())
 	}
-	rep = &Report{Violations: []Violation{sharing, genuine}}
+	rep = &CrossCheckReport{Violations: []Violation{sharing, genuine}}
 	out := rep.Format()
 	if rep.Genuine() != 1 {
 		t.Errorf("Genuine() = %d, want 1", rep.Genuine())
@@ -72,9 +73,9 @@ func TestFormatNamesGenuineViolations(t *testing.T) {
 	}
 }
 
-func TestDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Trials != 10 || c.Streams != 20 || c.PLevels != 4 || c.Cycles != 30000 || c.Warmup != 200 || c.UCap != 1<<16 {
+func TestCrossCheckDefaults(t *testing.T) {
+	c := CrossCheckConfig{}.withDefaults()
+	if c.Trials != 10 || c.Streams != 20 || c.PLevels != 4 || c.Cycles != 30000 {
 		t.Fatalf("defaults: %+v", c)
 	}
 }
@@ -86,5 +87,19 @@ func TestViolationString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("%q missing %q", s, want)
 		}
+	}
+}
+
+// TestCrossCheckGolden pins a campaign that finds violations, one of
+// them with no same-priority sharing on the victim's path: the text
+// `crosscheck -trials 40 -streams 20 -levels 4` prints, which exits 2.
+func TestCrossCheckGolden(t *testing.T) {
+	rep, err := CrossCheck(CrossCheckConfig{Trials: 40, Streams: 20, PLevels: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "crosscheck_40x20x4", rep.Format())
+	if rep.Genuine() != 1 {
+		t.Fatalf("Genuine() = %d, want 1", rep.Genuine())
 	}
 }

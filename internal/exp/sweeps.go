@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventsim"
 	"repro/internal/grid"
-	"repro/internal/metrics"
 	"repro/internal/priority"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -181,16 +180,7 @@ func QuantizationSweep(streams int, vcCounts []int, seed int64, cycles int) ([]Q
 		if err != nil {
 			return nil, err
 		}
-		us, err := workload.Inflate(set, analyzer, 1<<16)
-		if err != nil {
-			return nil, err
-		}
-		simulator, err := eventsim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
-		if err != nil {
-			return nil, err
-		}
-		res := simulator.Run()
-		table, err := metrics.Build(fmt.Sprintf("%d VCs", vcs), set, us, res)
+		table, err := measure(fmt.Sprintf("%d VCs", vcs), set, analyzer, sim.Config{Cycles: cycles, Warmup: 200})
 		if err != nil {
 			return nil, err
 		}
@@ -239,24 +229,19 @@ func RouterLatencySweep(streams, plevels int, seed int64, depths []int, cycles i
 		if err != nil {
 			return nil, err
 		}
-		us, err := workload.Inflate(set, analyzer, 1<<16)
+		table, err := measure("", set, analyzer, sim.Config{Cycles: cycles, Warmup: 200})
 		if err != nil {
 			return nil, err
 		}
-		simulator, err := eventsim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
-		if err != nil {
-			return nil, err
-		}
-		res := simulator.Run()
 		p := RouterLatencyPoint{R: r}
 		var nu, na int
-		for _, s := range set.Streams {
-			if u := us[s.ID]; u > 0 {
-				p.MeanU += float64(u)
+		for _, s := range table.PerStream {
+			if s.U > 0 {
+				p.MeanU += float64(s.U)
 				nu++
 			}
-			if st := &res.PerStream[s.ID]; st.Observed > 0 {
-				p.MeanActual += st.Mean()
+			if s.Observed > 0 {
+				p.MeanActual += s.Mean
 				na++
 			}
 		}

@@ -12,11 +12,13 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"sync"
 
+	"repro/internal/core"
 	"repro/internal/eventsim"
+	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -88,35 +90,21 @@ type TableResult struct {
 // RunTable generates the workload, computes every stream's delay upper
 // bound, simulates the network, and aggregates the ratio table —
 // averaged over the spec's trials. Trials are independent (one seed
-// each) and run concurrently.
+// each) and all run at once.
 func RunTable(spec TableSpec) (*TableResult, error) {
 	spec = spec.withDefaults()
 	out := &TableResult{Spec: spec}
 	acc := map[int]*metrics.LevelRow{}
 	counts := map[int]int{}
 
-	type trialOut struct {
-		table *metrics.RatioTable
-		err   error
-	}
-	results := make([]trialOut, spec.Trials)
-	var wg sync.WaitGroup
-	for trial := 0; trial < spec.Trials; trial++ {
-		trial := trial
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			table, err := runTrial(spec, spec.Seed+int64(trial)*7919)
-			// Each trial writes only its own slot; wg.Wait orders the reads.
-			results[trial] = trialOut{table, err}
-		}()
-	}
-	wg.Wait()
-	for trial, res := range results {
-		if res.err != nil {
-			return nil, fmt.Errorf("exp: trial %d: %w", trial, res.err)
+	tables, errs := grid.Map(spec.Trials, spec.Trials, func(i int) (*metrics.RatioTable, error) {
+		_, table, err := trial(spec, spec.Seed+int64(i)*7919)
+		return table, err
+	})
+	for i, table := range tables {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("exp: trial %d: %w", i, errs[i])
 		}
-		table := res.table
 		out.Trials = append(out.Trials, table)
 		for _, row := range table.Rows {
 			a, ok := acc[row.Priority]
@@ -148,27 +136,38 @@ func RunTable(spec TableSpec) (*TableResult, error) {
 	return out, nil
 }
 
-func runTrial(spec TableSpec, seed int64) (*metrics.RatioTable, error) {
+// trial is one §5 trial of spec: it draws the spec's workload from
+// seed with its periods uninflated, then measures it. It returns the
+// measured set with its ratio table.
+func trial(spec TableSpec, seed int64) (*stream.Set, *metrics.RatioTable, error) {
 	cfg := workload.PaperDefaults(spec.Streams, spec.PLevels, seed)
 	cfg.InflatePeriods = false
 	set, analyzer, err := workload.GeneratePattern(cfg, spec.Pattern)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	us, err := workload.Inflate(set, analyzer, 1<<16)
-	if err != nil {
-		return nil, err
-	}
-	simulator, err := eventsim.New(set, sim.Config{
+	table, err := measure(spec.Name, set, analyzer, sim.Config{
 		Cycles:  spec.Cycles,
 		Warmup:  spec.Warmup,
 		Arbiter: spec.Arbiter,
 	})
+	return set, table, err
+}
+
+// measure applies the accommodation rule to set (workload.Inflate,
+// through a, an analyzer of set), simulates the result on the event
+// engine under cfg, and judges every stream's bound against its
+// simulated latencies in one ratio table.
+func measure(title string, set *stream.Set, a *core.Analyzer, cfg sim.Config) (*metrics.RatioTable, error) {
+	us, err := workload.Inflate(set, a)
 	if err != nil {
 		return nil, err
 	}
-	res := simulator.Run()
-	return metrics.Build(spec.Name, set, us, res)
+	simulator, err := eventsim.New(set, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return metrics.Build(title, set, us, simulator.Run())
 }
 
 // Format renders the averaged table in the paper's style.

@@ -1,7 +1,9 @@
 // Package grid provides the shared sweep-grid machinery behind the
 // parameter studies: deterministic enumeration of the cartesian
-// product of named axes, per-point seed derivation, and the axis-value
-// validation the sweeps would otherwise open-code.
+// product of named axes, per-point seed derivation, the axis-value
+// validation the sweeps would otherwise open-code, and the ordered
+// worker pool (Map) every study fans its trials, replications and
+// points across.
 //
 // Both the ratio-table sweeps (package exp) and the design-space
 // explorer (package explore) iterate the same way — a fixed list of
@@ -11,7 +13,12 @@
 // every merged result, is a pure function of the axes.
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // Axis is one dimension of a sweep grid: a name (for diagnostics) and
 // the number of values on the axis. The values themselves stay typed
@@ -67,38 +74,6 @@ func New(axes ...Axis) (*Grid, error) {
 // Size returns the number of points in the grid.
 func (g *Grid) Size() int { return g.size }
 
-// Axes returns the grid's axes in declaration order.
-func (g *Grid) Axes() []Axis { return append([]Axis(nil), g.axes...) }
-
-// Coords expands point index i into one value index per axis, in
-// declaration order. It panics when i is out of range.
-func (g *Grid) Coords(i int) []int {
-	if i < 0 || i >= g.size {
-		panic(fmt.Sprintf("grid: point %d out of range [0,%d)", i, g.size))
-	}
-	coords := make([]int, len(g.axes))
-	for a := range g.axes {
-		coords[a] = i / g.strides[a] % g.axes[a].Len
-	}
-	return coords
-}
-
-// Index is the inverse of Coords. It panics on a coordinate outside
-// its axis.
-func (g *Grid) Index(coords []int) int {
-	if len(coords) != len(g.axes) {
-		panic(fmt.Sprintf("grid: %d coordinates for %d axes", len(coords), len(g.axes)))
-	}
-	i := 0
-	for a, c := range coords {
-		if c < 0 || c >= g.axes[a].Len {
-			panic(fmt.Sprintf("grid: coordinate %d out of range on axis %q [0,%d)", c, g.axes[a].Name, g.axes[a].Len))
-		}
-		i += c * g.strides[a]
-	}
-	return i
-}
-
 // ForEach visits every point in index order, stopping at the first
 // error. The coords slice is reused between calls; callers that retain
 // it must copy.
@@ -113,6 +88,37 @@ func (g *Grid) ForEach(fn func(i int, coords []int) error) error {
 		}
 	}
 	return nil
+}
+
+// Map calls f(i) for every i in [0, n) from a pool of workers and
+// returns each call's result and error at index i. workers <= 0 means
+// GOMAXPROCS, and the pool never exceeds n. Every index runs whatever
+// the others return, so the outcome is a pure function of f for every
+// worker count and schedule; the caller decides which errors matter.
+func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, []error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	results := make([]T, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			// Each call writes only its own index; wg.Wait orders the
+			// caller's reads after every write.
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				results[i], errs[i] = f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return results, errs
 }
 
 // PointSeed derives a deterministic per-point seed from a base seed

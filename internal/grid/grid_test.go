@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -39,18 +41,6 @@ func TestEnumerationOrderMatchesNestedLoops(t *testing.T) {
 	}
 }
 
-func TestCoordsIndexRoundTrip(t *testing.T) {
-	g, err := New(Axis{"x", 4}, Axis{"y", 5}, Axis{"z", 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < g.Size(); i++ {
-		if got := g.Index(g.Coords(i)); got != i {
-			t.Fatalf("Index(Coords(%d)) = %d", i, got)
-		}
-	}
-}
-
 func TestNewRejectsBadAxes(t *testing.T) {
 	cases := [][]Axis{
 		nil,
@@ -63,19 +53,6 @@ func TestNewRejectsBadAxes(t *testing.T) {
 			t.Fatalf("case %d: New(%v) accepted", i, axes)
 		}
 	}
-}
-
-func TestCoordsPanicsOutOfRange(t *testing.T) {
-	g, err := New(Axis{"a", 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Coords(2) did not panic")
-		}
-	}()
-	g.Coords(2)
 }
 
 func TestPointSeedDeterministicAndDistinct(t *testing.T) {
@@ -116,5 +93,40 @@ func TestValidators(t *testing.T) {
 	}
 	if err := NonNegativeInts("depth", []int{-1}); err == nil {
 		t.Fatal("NonNegativeInts accepted -1")
+	}
+}
+
+// TestMap: every index's result and error land at that index for any
+// worker count, and a failing index leaves every other result
+// computed.
+func TestMap(t *testing.T) {
+	for _, n := range []int{0, 1, 17} {
+		for _, workers := range []int{0, 1, 2, 8} {
+			var calls atomic.Int64
+			results, errs := Map(n, workers, func(i int) (int, error) {
+				calls.Add(1)
+				if i%5 == 3 {
+					return -1, fmt.Errorf("index %d", i)
+				}
+				return i * i, nil
+			})
+			if len(results) != n || len(errs) != n {
+				t.Fatalf("n %d workers %d: %d results, %d errors", n, workers, len(results), len(errs))
+			}
+			if got := calls.Load(); got != int64(n) {
+				t.Fatalf("n %d workers %d: f called %d times", n, workers, got)
+			}
+			for i := 0; i < n; i++ {
+				if i%5 == 3 {
+					if errs[i] == nil || errs[i].Error() != fmt.Sprintf("index %d", i) || results[i] != -1 {
+						t.Fatalf("n %d workers %d: index %d got (%d, %v), want its own error", n, workers, i, results[i], errs[i])
+					}
+					continue
+				}
+				if errs[i] != nil || results[i] != i*i {
+					t.Fatalf("n %d workers %d: index %d got (%d, %v), want (%d, nil)", n, workers, i, results[i], errs[i], i*i)
+				}
+			}
+		}
 	}
 }

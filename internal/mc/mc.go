@@ -17,8 +17,6 @@ package mc
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/eventsim"
 	"repro/internal/grid"
@@ -159,51 +157,12 @@ func Run(cfg Config) (*Result, error) {
 	for i, p := range cfg.Points {
 		points[i] = p.withDefaults()
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	total := len(points) * cfg.Seeds
-	if workers > total {
-		workers = total
-	}
-
-	// Workers only send on a channel — the merge loop below is the
-	// single owner of every slice write — and outcomes land in their
-	// replication-index slots, so the result and any error are
+	// Replication i lands at index i, so the result and any error are
 	// identical for every worker count and schedule.
-	type repOut struct {
-		pos int
-		rep Replication
-		err error
-	}
-	// Buffered so workers never block sending their last result.
-	jobs := make(chan int, total)
-	out := make(chan repOut, total)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pi, si := i/cfg.Seeds, i%cfg.Seeds
-				rep, err := runReplication(points[pi], pi, si,
-					grid.PointSeed(cfg.BaseSeed, i), cfg.Check)
-				out <- repOut{pos: i, rep: rep, err: err}
-			}
-		}()
-	}
-	for i := 0; i < total; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	close(out)
-	reps := make([]Replication, total)
-	errs := make([]error, total)
-	for o := range out {
-		reps[o.pos], errs[o.pos] = o.rep, o.err
-	}
+	reps, errs := grid.Map(len(points)*cfg.Seeds, cfg.Workers, func(i int) (Replication, error) {
+		pi, si := i/cfg.Seeds, i%cfg.Seeds
+		return runReplication(points[pi], pi, si, grid.PointSeed(cfg.BaseSeed, i), cfg.Check)
+	})
 	if err := failures(points, cfg.Seeds, errs); err != nil {
 		return nil, err
 	}

@@ -184,15 +184,14 @@ func TestInflateMatchesFullPassesShortLimit(t *testing.T) {
 	}
 }
 
-// TestInflateDefaultCap: a zero cap means 65536 flit times, as for
-// Config.UCap.
+// TestInflateDefaultCap: Inflate searches to UCap, 65536 flit times.
 func TestInflateDefaultCap(t *testing.T) {
 	cfg := uninflated(PaperDefaults(20, 2, 9))
 	set, a, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := Inflate(set, a, 0)
+	got, err := Inflate(set, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +199,14 @@ func TestInflateDefaultCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := Inflate(ref, refA, 1<<16)
+	explicit, err := inflate(ref, refA, 1<<16, maxInflatePasses)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range zero {
-		if zero[i] != explicit[i] || set.Streams[i].Period != ref.Streams[i].Period {
-			t.Fatalf("stream %d: cap 0 gave bound %d period %d, cap 65536 bound %d period %d",
-				i, zero[i], set.Streams[i].Period, explicit[i], ref.Streams[i].Period)
+	for i := range got {
+		if got[i] != explicit[i] || set.Streams[i].Period != ref.Streams[i].Period {
+			t.Fatalf("stream %d: Inflate gave bound %d period %d, cap 65536 bound %d period %d",
+				i, got[i], set.Streams[i].Period, explicit[i], ref.Streams[i].Period)
 		}
 	}
 }

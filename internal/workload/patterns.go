@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/routing"
 	"repro/internal/stream"
 	"repro/internal/topology"
 )
@@ -55,16 +54,21 @@ func (p Pattern) String() string {
 
 // destination applies the pattern for a source node. The hotspot node
 // and rng are supplied by the generator. ok is false when the pattern
-// maps the source to itself (callers skip such sources).
-func (p Pattern) destination(m *topology.Mesh2D, src topology.NodeID, hotspot topology.NodeID, rng *rand.Rand) (topology.NodeID, bool) {
+// maps the source to itself (callers skip such sources); Transpose
+// serves only sources on a 2D mesh.
+func (p Pattern) destination(t topology.Topology, src topology.NodeID, hotspot topology.NodeID, rng *rand.Rand) (topology.NodeID, bool) {
 	switch p {
 	case Uniform:
 		dst := src
 		for dst == src {
-			dst = topology.NodeID(rng.Intn(m.Nodes()))
+			dst = topology.NodeID(rng.Intn(t.Nodes()))
 		}
 		return dst, true
 	case Transpose:
+		m, isMesh := t.(*topology.Mesh2D)
+		if !isMesh {
+			return src, false
+		}
 		x, y := m.XY(src)
 		if x == y {
 			return src, false
@@ -72,7 +76,7 @@ func (p Pattern) destination(m *topology.Mesh2D, src topology.NodeID, hotspot to
 		return m.ID(y, x), true
 	case BitReversal:
 		bits := 0
-		for 1<<bits < m.Nodes() {
+		for 1<<bits < t.Nodes() {
 			bits++
 		}
 		v := int(src)
@@ -80,7 +84,7 @@ func (p Pattern) destination(m *topology.Mesh2D, src topology.NodeID, hotspot to
 		for b := 0; b < bits; b++ {
 			r = r<<1 | (v >> b & 1)
 		}
-		if r >= m.Nodes() || topology.NodeID(r) == src {
+		if r >= t.Nodes() || topology.NodeID(r) == src {
 			return src, false
 		}
 		return topology.NodeID(r), true
@@ -90,7 +94,7 @@ func (p Pattern) destination(m *topology.Mesh2D, src topology.NodeID, hotspot to
 		}
 		return hotspot, true
 	case NearestNeighbor:
-		nbs := m.Neighbors(src)
+		nbs := t.Neighbors(src)
 		return nbs[rng.Intn(len(nbs))], true
 	}
 	return src, false
@@ -101,47 +105,12 @@ func (p Pattern) destination(m *topology.Mesh2D, src topology.NodeID, hotspot to
 // like the transpose diagonal) are skipped and replaced, so the
 // requested stream count is always produced when enough nodes remain.
 func GeneratePattern(cfg Config, pattern Pattern) (*stream.Set, *core.Analyzer, error) {
-	if err := cfg.validate(); err != nil {
+	m, err := cfg.validate()
+	if err != nil {
 		return nil, nil, err
 	}
 	if pattern == Transpose && cfg.MeshW != cfg.MeshH {
 		return nil, nil, fmt.Errorf("workload: transpose needs a square mesh, got %dx%d", cfg.MeshW, cfg.MeshH)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := topology.NewMesh2D(cfg.MeshW, cfg.MeshH)
-	router := routing.NewXY(m)
-	set := stream.NewSet(m)
-
-	// Draw order matters: with the Uniform pattern the rng consumption
-	// must match Generate exactly, so the hotspot node is only drawn
-	// when the pattern needs one.
-	perm := rng.Perm(m.Nodes())
-	var hotspot topology.NodeID
-	if pattern == Hotspot {
-		hotspot = topology.NodeID(rng.Intn(m.Nodes()))
-	}
-	for _, pi := range perm {
-		if set.Len() == cfg.Streams {
-			break
-		}
-		src := topology.NodeID(pi)
-		dst, ok := pattern.destination(m, src, hotspot, rng)
-		if !ok {
-			continue
-		}
-		prio := 1 + rng.Intn(cfg.PLevels)
-		period := cfg.TMin + rng.Intn(cfg.TMax-cfg.TMin+1)
-		length := cfg.CMin + rng.Intn(cfg.CMax-cfg.CMin+1)
-		if _, err := set.Add(router, src, dst, prio, period, length, period); err != nil {
-			return nil, nil, err
-		}
-	}
-	if set.Len() < cfg.Streams {
-		return nil, nil, fmt.Errorf("workload: pattern %s could only place %d of %d streams", pattern, set.Len(), cfg.Streams)
-	}
-	a, err := core.NewAnalyzer(set)
-	if err != nil {
-		return nil, nil, err
-	}
-	return finish(set, a, cfg)
+	return draw(m, cfg, pattern)
 }

@@ -38,11 +38,12 @@ type Config struct {
 	// InflatePeriods applies the paper's rule T_i = max(T_i, U_i).
 	// Disabled only by ablation experiments.
 	InflatePeriods bool
-	// UCap bounds the horizon searched for delay upper bounds during
-	// period inflation; 0 means 65536 flit times (comfortably past the
-	// paper's 30000-flit-time simulations).
-	UCap int
 }
+
+// UCap bounds the horizon searched for delay upper bounds during
+// period inflation: 65536 flit times, comfortably past the paper's
+// 30000-flit-time simulations.
+const UCap = 1 << 16
 
 // PaperDefaults returns the §5 configuration for a given stream count
 // and priority-level count.
@@ -57,12 +58,23 @@ func PaperDefaults(streams, plevels int, seed int64) Config {
 	}
 }
 
-func (c Config) validate() error {
+// validate checks the mesh dimensions, then every other field against
+// the mesh they describe, which it returns.
+func (c Config) validate() (*topology.Mesh2D, error) {
 	if c.MeshW < 2 || c.MeshH < 1 {
-		return fmt.Errorf("workload: invalid mesh %dx%d", c.MeshW, c.MeshH)
+		return nil, fmt.Errorf("workload: invalid mesh %dx%d", c.MeshW, c.MeshH)
 	}
-	if c.Streams < 1 || c.Streams > c.MeshW*c.MeshH {
-		return fmt.Errorf("workload: %d streams on %d nodes", c.Streams, c.MeshW*c.MeshH)
+	m := topology.NewMesh2D(c.MeshW, c.MeshH)
+	return m, c.validateOn(m)
+}
+
+// validateOn checks the topology-independent fields against t.
+func (c Config) validateOn(t topology.Topology) error {
+	if t.Nodes() < 2 {
+		return fmt.Errorf("workload: topology %s has %d nodes, need at least 2", t.Name(), t.Nodes())
+	}
+	if c.Streams < 1 || c.Streams > t.Nodes() {
+		return fmt.Errorf("workload: %d streams on %d nodes of %s", c.Streams, t.Nodes(), t.Name())
 	}
 	if c.PLevels < 1 {
 		return fmt.Errorf("workload: %d priority levels", c.PLevels)
@@ -83,21 +95,50 @@ func (c Config) validate() error {
 // paper's period-inflation rule is applied and the returned analyzer
 // reflects the final set.
 func Generate(cfg Config) (*stream.Set, *core.Analyzer, error) {
-	if err := cfg.validate(); err != nil {
+	return GeneratePattern(cfg, Uniform)
+}
+
+// GenerateOn is Generate for an arbitrary topology: the paper's §5
+// geometry (distinct uniform sources, uniform destinations, uniform C,
+// T and priority, optional period inflation) realised on t with its
+// canonical deterministic router instead of the fixed 10×10 mesh.
+// cfg.MeshW and cfg.MeshH are ignored; every other field keeps its
+// Generate meaning. Both draw through one loop, so GenerateOn on a
+// MeshW×MeshH mesh is Generate, and a seed swept across topologies
+// (cmd/netsim -topology, cmd/rtwexplore) changes only the network,
+// never the demand sequence.
+func GenerateOn(t topology.Topology, cfg Config) (*stream.Set, *core.Analyzer, error) {
+	if err := cfg.validateOn(t); err != nil {
+		return nil, nil, err
+	}
+	return draw(t, cfg, Uniform)
+}
+
+// draw is the §5 draw loop on t with its canonical router. Sources
+// come from one random permutation of the nodes; sources the pattern
+// cannot serve are skipped and replaced. The hotspot node is drawn only
+// when the pattern needs one, so every pattern but Hotspot consumes the
+// rng in the same order.
+func draw(t topology.Topology, cfg Config, pattern Pattern) (*stream.Set, *core.Analyzer, error) {
+	router, err := routing.ForTopology(t)
+	if err != nil {
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := topology.NewMesh2D(cfg.MeshW, cfg.MeshH)
-	router := routing.NewXY(m)
-	set := stream.NewSet(m)
-
-	// Distinct sources: a random permutation of the nodes.
-	perm := rng.Perm(m.Nodes())
-	for i := 0; i < cfg.Streams; i++ {
-		src := topology.NodeID(perm[i])
-		dst := src
-		for dst == src {
-			dst = topology.NodeID(rng.Intn(m.Nodes()))
+	set := stream.NewSet(t)
+	perm := rng.Perm(t.Nodes())
+	var hotspot topology.NodeID
+	if pattern == Hotspot {
+		hotspot = topology.NodeID(rng.Intn(t.Nodes()))
+	}
+	for _, pi := range perm {
+		if set.Len() == cfg.Streams {
+			break
+		}
+		src := topology.NodeID(pi)
+		dst, ok := pattern.destination(t, src, hotspot, rng)
+		if !ok {
+			continue
 		}
 		prio := 1 + rng.Intn(cfg.PLevels)
 		period := cfg.TMin + rng.Intn(cfg.TMax-cfg.TMin+1)
@@ -106,19 +147,15 @@ func Generate(cfg Config) (*stream.Set, *core.Analyzer, error) {
 			return nil, nil, err
 		}
 	}
-
+	if set.Len() < cfg.Streams {
+		return nil, nil, fmt.Errorf("workload: pattern %s could only place %d of %d streams", pattern, set.Len(), cfg.Streams)
+	}
 	a, err := core.NewAnalyzer(set)
 	if err != nil {
 		return nil, nil, err
 	}
-	return finish(set, a, cfg)
-}
-
-// finish applies the accommodation rule when the configuration asks
-// for it (shared by every generator).
-func finish(set *stream.Set, a *core.Analyzer, cfg Config) (*stream.Set, *core.Analyzer, error) {
 	if cfg.InflatePeriods {
-		if _, err := Inflate(set, a, cfg.UCap); err != nil {
+		if _, err := Inflate(set, a); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -134,11 +171,10 @@ const maxInflatePasses = 8
 // indirect element can raise U; ROADMAP item 1), so no bound computed
 // before a change is kept: passes over the set in ID order recompute
 // what a change can move until a fixpoint, and at most eight are made.
-// Streams with no bound within ucap flit times (0 means 65536, as for
-// Config.UCap) have their periods quadrupled instead, turning them
-// into sporadic background traffic. It returns every stream's
-// CalUSearchCap(id, ucap) against the final periods, indexed by stream
-// ID.
+// Streams with no bound within UCap flit times have their periods
+// quadrupled instead, turning them into sporadic background traffic.
+// It returns every stream's CalUSearchCap(id, UCap) against the final
+// periods, indexed by stream ID.
 //
 // a must be an analyzer of set, and it stays one: HP sets depend only
 // on paths and priorities, and Cal_U reads periods from the set. A
@@ -147,15 +183,12 @@ const maxInflatePasses = 8
 // changed after its last computation. Every other stream would compute
 // the same bound and keep its period, so the periods are exactly those
 // of recomputing every stream on every pass.
-func Inflate(set *stream.Set, a *core.Analyzer, ucap int) ([]int, error) {
-	return inflate(set, a, ucap, maxInflatePasses)
+func Inflate(set *stream.Set, a *core.Analyzer) ([]int, error) {
+	return inflate(set, a, UCap, maxInflatePasses)
 }
 
-// inflate is Inflate with an explicit pass limit.
+// inflate is Inflate with an explicit cap and pass limit.
 func inflate(set *stream.Set, a *core.Analyzer, ucap, maxPasses int) ([]int, error) {
-	if ucap == 0 {
-		ucap = 1 << 16
-	}
 	us := make([]int, set.Len())
 	stale := make([]bool, set.Len())
 	for i := range stale {
