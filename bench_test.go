@@ -630,10 +630,11 @@ func benchName(prefix string, v int) string {
 // clone of one stream is probe-admitted against a standing 50-stream
 // paper workload on the 10×10 mesh. The Incremental variant runs the
 // controller, which recomputes only the HP-set dependents of the probe;
-// the Full variant runs the offline core.DetermineFeasibilityParallel
-// over the same 51-stream sets, which re-derives every bound. The
-// verdicts are the same (internal/admit's differential battery pins
-// them); the only difference is the dirty set.
+// the Full variant runs the offline test over the same 51-stream sets
+// (a fresh analyzer, every stream's Cal_U from the worker pool, one
+// report), which re-derives every bound. The verdicts are the same
+// (internal/admit's differential battery pins them); the only
+// difference is the dirty set.
 
 // admitBenchSpecs returns the standing workload. Seed 13 yields one
 // where every stream stays feasible, so a probe never trips a
@@ -725,14 +726,23 @@ func BenchmarkAdmitFull(b *testing.B) {
 			}
 		}
 	}
+	all := make([]stream.ID, len(specs)+1)
+	for k := range all {
+		all[k] = stream.ID(k)
+	}
 	recomputed := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.DetermineFeasibilityParallel(probes[i%len(probes)], 0)
+		set := probes[i%len(probes)]
+		a, err := core.NewAnalyzer(set)
 		if err != nil {
 			b.Fatal(err)
 		}
-		recomputed += len(rep.Verdicts)
+		us, err := a.CalUBatchParallel(all, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		recomputed += len(core.NewReport(set, us).Verdicts)
 	}
 	b.ReportMetric(float64(recomputed)/float64(b.N), "recomputed/op")
 }

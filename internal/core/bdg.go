@@ -86,20 +86,3 @@ func (g *BDG) String() string {
 	}
 	return s
 }
-
-// DOT renders the graph in Graphviz format (an edge a -> b means "a can
-// block b"; the owner is drawn doubled).
-func (g *BDG) DOT() string {
-	s := fmt.Sprintf("digraph bdg_m%d {\n  rankdir=LR;\n", g.Owner)
-	for _, n := range g.Nodes {
-		shape := "circle"
-		if n == g.Owner {
-			shape = "doublecircle"
-		}
-		s += fmt.Sprintf("  m%d [label=\"M%d\" shape=%s];\n", n, n, shape)
-	}
-	for _, e := range g.Edges() {
-		s += fmt.Sprintf("  m%d -> m%d;\n", e[0], e[1])
-	}
-	return s + "}\n"
-}

@@ -86,18 +86,3 @@ func TestBDGEmptyHPSet(t *testing.T) {
 		t.Fatalf("edges = %v", g.Edges())
 	}
 }
-
-func TestBDGDOT(t *testing.T) {
-	set := paperExample(t)
-	a, _ := NewAnalyzer(set)
-	g, _ := a.BDG(4)
-	dot := g.DOT()
-	for _, want := range []string{"digraph bdg_m4", "doublecircle", "m0 -> m2;", "m3 -> m4;"} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-	if strings.Count(dot, "->") != 5 {
-		t.Fatalf("edge count:\n%s", dot)
-	}
-}

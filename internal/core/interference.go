@@ -25,24 +25,6 @@ type InterferenceReport struct {
 	Contributions []Contribution // sorted by decreasing marginal impact
 }
 
-// Slack returns D - U for the given stream, the headroom the verdict
-// leaves; negative values mean the deadline is missed, and the second
-// result is false when no bound exists within the deadline.
-func (a *Analyzer) Slack(id stream.ID) (int, bool, error) {
-	s := a.Set.Get(id)
-	if s == nil {
-		return 0, false, fmt.Errorf("core: no stream %d", id)
-	}
-	u, err := a.CalU(id)
-	if err != nil {
-		return 0, false, err
-	}
-	if u < 0 {
-		return 0, false, nil
-	}
-	return s.Deadline - u, true, nil
-}
-
 // Interference computes the marginal contribution of every HP element
 // of the given stream at the given horizon: for each element, the
 // timing diagram is rebuilt without it and the bound recomputed. The

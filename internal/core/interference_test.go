@@ -3,47 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/stream"
 )
-
-func TestSlack(t *testing.T) {
-	set := paperExample(t)
-	a, err := NewAnalyzer(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// M2: U=26, D=40 -> slack 14. M0: U=7, D=15 -> slack 8.
-	cases := map[int]int{0: 8, 1: 2, 2: 14, 3: 15, 4: 17}
-	for id, want := range cases {
-		s, ok, err := a.Slack(stream.ID(id))
-		if err != nil || !ok {
-			t.Fatalf("Slack(%d): %v %v", id, ok, err)
-		}
-		if s != want {
-			t.Fatalf("Slack(%d) = %d, want %d", id, s, want)
-		}
-	}
-	if _, _, err := a.Slack(99); err == nil {
-		t.Fatal("accepted unknown stream")
-	}
-}
-
-func TestSlackNoBound(t *testing.T) {
-	set := paperExample(t)
-	set.Get(4).Deadline = 5 // impossible
-	a, err := NewAnalyzer(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ok, err := a.Slack(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("expected no bound within deadline 5")
-	}
-}
 
 func TestInterferenceBreakdown(t *testing.T) {
 	set := paperExample(t)

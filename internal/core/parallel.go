@@ -10,50 +10,11 @@ import (
 	"repro/internal/stream"
 )
 
-// DetermineFeasibilityParallel is DetermineFeasibility with the
-// per-stream Cal_U computations fanned out over a worker pool. Every
-// stream's bound only reads the shared HP sets and builds its own
-// timing diagram in an arena it borrows for the call, so the streams
-// are embarrassingly parallel; results are identical to the sequential
-// test. workers <= 0 uses GOMAXPROCS.
-func DetermineFeasibilityParallel(set *stream.Set, workers int) (*Report, error) {
-	a, err := NewAnalyzer(set)
-	if err != nil {
-		return nil, err
-	}
-	return parallelFeasibility(set, workers, a.CalU)
-}
-
 // streamErr pairs a failed stream with its error so the propagated
 // error is deterministic regardless of worker scheduling.
 type streamErr struct {
 	id  stream.ID
 	err error
-}
-
-// parallelFeasibility runs calU over every stream of the set from a
-// pool of workers. It is the seam DetermineFeasibilityParallel is
-// built on; tests inject failing calU implementations to pin the
-// error-path semantics:
-//
-//   - any calU error makes the whole call return (nil, error) — a
-//     partially-filled report never escapes, so unprocessed zero-valued
-//     verdicts can never masquerade as "infeasible";
-//   - after the first failure the remaining jobs are skipped rather
-//     than computed (their verdicts would be discarded anyway);
-//   - among the failures actually observed, the smallest stream ID's
-//     error is propagated, so a single failing stream (the common
-//     case) reports identically for every worker count and schedule.
-func parallelFeasibility(set *stream.Set, workers int, calU func(stream.ID) (int, error)) (*Report, error) {
-	ids := make([]stream.ID, set.Len())
-	for i := range ids {
-		ids[i] = stream.ID(i)
-	}
-	us, err := calUPool(ids, workers, calU)
-	if err != nil {
-		return nil, fmt.Errorf("core: parallel feasibility: %w", err)
-	}
-	return NewReport(set, us), nil
 }
 
 // CalUBatchParallel computes the delay upper bound of each of ids over
@@ -63,9 +24,7 @@ func parallelFeasibility(set *stream.Set, workers int, calU func(stream.ID) (int
 // controller (package admit) uses this to recompute only the dirty set
 // of a mutation (see Dependents) through the pooled path.
 //
-// The error semantics match the full parallel test: any failure yields
-// (nil, error), remaining jobs are skipped after the first failure, and
-// among observed failures the smallest stream ID's error is propagated.
+// The error semantics are calUPool's.
 func (a *Analyzer) CalUBatchParallel(ids []stream.ID, workers int) ([]int, error) {
 	for _, id := range ids {
 		if a.Set.Get(id) == nil {
@@ -84,9 +43,19 @@ func (a *Analyzer) CalUBatchParallel(ids []stream.ID, workers int) ([]int, error
 }
 
 // calUPool fans calU over ids from a pool of workers, returning the
-// bounds aligned with ids. See parallelFeasibility for the pinned
-// error-path semantics; the returned error names the smallest failing
-// stream ID and wraps its calU error.
+// bounds aligned with ids. Tests inject failing calU implementations to
+// pin the error-path semantics:
+//
+//   - any calU error makes the whole call return (nil, error) — a
+//     partially-filled slice never escapes, so the zero bounds of
+//     unprocessed streams can never masquerade as results;
+//   - after the first failure the remaining jobs are skipped rather
+//     than computed (their bounds would be discarded anyway);
+//   - among the failures actually observed, the smallest stream ID's
+//     error is propagated, so a single failing stream (the common
+//     case) reports identically for every worker count and schedule.
+//
+// The returned error names that stream and wraps its calU error.
 func calUPool(ids []stream.ID, workers int, calU func(stream.ID) (int, error)) ([]int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -27,13 +27,13 @@ func failingCalU(t *testing.T, set *stream.Set, fail map[stream.ID]error) func(s
 }
 
 // TestParallelErrorPath pins the worker-bailout semantics: a calU
-// failure yields (nil, error) — never a report in which the skipped
-// streams' zero-valued verdicts read as infeasible.
+// failure yields (nil, error) — never bounds in which the skipped
+// streams' zero values read as results.
 func TestParallelErrorPath(t *testing.T) {
 	set := paperExample(t)
 	boom := errors.New("boom")
 	for _, workers := range []int{0, 1, 2, 3, 16} {
-		rep, err := parallelFeasibility(set, workers, failingCalU(t, set, map[stream.ID]error{2: boom}))
+		us, err := calUPool(allIDs(set), workers, failingCalU(t, set, map[stream.ID]error{2: boom}))
 		if err == nil {
 			t.Fatalf("workers=%d: error swallowed", workers)
 		}
@@ -43,8 +43,8 @@ func TestParallelErrorPath(t *testing.T) {
 		if !strings.Contains(err.Error(), "stream 2") {
 			t.Fatalf("workers=%d: error %q does not name the failing stream", workers, err)
 		}
-		if rep != nil {
-			t.Fatalf("workers=%d: got a report alongside the error: %+v", workers, rep)
+		if us != nil {
+			t.Fatalf("workers=%d: got bounds alongside the error: %v", workers, us)
 		}
 	}
 }
@@ -67,7 +67,7 @@ func TestParallelErrorPathSkipsRemainingWork(t *testing.T) {
 		}
 		return a.CalU(id)
 	}
-	if _, err := parallelFeasibility(set, 1, calU); err == nil {
+	if _, err := calUPool(allIDs(set), 1, calU); err == nil {
 		t.Fatal("error swallowed")
 	}
 	if got := calls.Load(); got != 2 {
@@ -85,23 +85,23 @@ func TestParallelAllFailing(t *testing.T) {
 		fail[s.ID] = fmt.Errorf("fail %d", s.ID)
 	}
 	for _, workers := range []int{1, 2, 5, 32} {
-		rep, err := parallelFeasibility(set, workers, failingCalU(t, set, fail))
-		if err == nil || rep != nil {
-			t.Fatalf("workers=%d: want (nil, error), got (%v, %v)", workers, rep, err)
+		us, err := calUPool(allIDs(set), workers, failingCalU(t, set, fail))
+		if err == nil || us != nil {
+			t.Fatalf("workers=%d: want (nil, error), got (%v, %v)", workers, us, err)
 		}
 	}
 	// Single worker sees stream 0 first, deterministically.
-	_, err := parallelFeasibility(set, 1, failingCalU(t, set, fail))
+	_, err := calUPool(allIDs(set), 1, failingCalU(t, set, fail))
 	if err == nil || !strings.Contains(err.Error(), "stream 0") {
 		t.Fatalf("single worker should report stream 0, got %v", err)
 	}
 }
 
-// TestParallelHammer drives DetermineFeasibilityParallel — success and
-// error paths — with many worker counts over randomized sets. It exists
-// to run under `go test -race` (make test-race): every iteration
-// exercises the shared Verdicts writes, the failure flag and the error
-// channel against the race detector.
+// TestParallelHammer drives the Cal_U pool — success and error paths —
+// with many worker counts over randomized sets. It exists to run under
+// `go test -race` (make test-race): every iteration exercises the
+// shared bound writes, the failure flag and the error channel against
+// the race detector.
 func TestParallelHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	boom := errors.New("boom")
@@ -112,7 +112,7 @@ func TestParallelHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 8, 33} {
-			rep, err := DetermineFeasibilityParallel(set, workers)
+			rep, err := parallelReport(set, workers)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
@@ -130,10 +130,10 @@ func TestParallelHammer(t *testing.T) {
 			// Error path under the same contention: fail a random
 			// stream mid-set.
 			fail := map[stream.ID]error{stream.ID(rng.Intn(set.Len())): boom}
-			rep, err = parallelFeasibility(set, workers, failingCalU(t, set, fail))
-			if err == nil || rep != nil {
+			us, err := calUPool(allIDs(set), workers, failingCalU(t, set, fail))
+			if err == nil || us != nil {
 				t.Fatalf("trial %d workers %d: error path returned (%v, %v)",
-					trial, workers, rep, err)
+					trial, workers, us, err)
 			}
 		}
 	}

@@ -3,9 +3,35 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/stream"
 )
 
-// TestParallelMatchesSequential: the parallel feasibility test returns
+// allIDs lists every stream ID of set in order.
+func allIDs(set *stream.Set) []stream.ID {
+	ids := make([]stream.ID, set.Len())
+	for i := range ids {
+		ids[i] = stream.ID(i)
+	}
+	return ids
+}
+
+// parallelReport is Determine-Feasibility with every stream's Cal_U
+// fanned over the worker pool: NewAnalyzer, CalUBatchParallel over all
+// streams, then NewReport.
+func parallelReport(set *stream.Set, workers int) (*Report, error) {
+	a, err := NewAnalyzer(set)
+	if err != nil {
+		return nil, err
+	}
+	us, err := a.CalUBatchParallel(allIDs(set), workers)
+	if err != nil {
+		return nil, err
+	}
+	return NewReport(set, us), nil
+}
+
+// TestParallelMatchesSequential: the pooled feasibility test returns
 // exactly the sequential verdicts for random sets and all worker
 // counts.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -17,7 +43,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 7} {
-			par, err := DetermineFeasibilityParallel(set, workers)
+			par, err := parallelReport(set, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +62,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestParallelOnWorkedExample(t *testing.T) {
 	set := paperExample(t)
-	rep, err := DetermineFeasibilityParallel(set, 3)
+	rep, err := parallelReport(set, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +80,7 @@ func TestParallelOnWorkedExample(t *testing.T) {
 func TestParallelRejectsInvalidSet(t *testing.T) {
 	set := paperExample(t)
 	set.Streams[0].Latency = 1
-	if _, err := DetermineFeasibilityParallel(set, 2); err == nil {
+	if _, err := parallelReport(set, 2); err == nil {
 		t.Fatal("accepted invalid set")
 	}
 }

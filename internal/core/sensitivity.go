@@ -29,17 +29,21 @@ import (
 //     answer is a feasible length, not a proven largest one.
 
 // feasibilityProbe builds the per-candidate feasibility check the
-// sensitivity searches share: validate the mutated set (same check
-// NewAnalyzer would run), then run Determine-Feasibility on one reused
-// Analyzer.
+// sensitivity searches share: validate the mutated set, then run
+// Determine-Feasibility on one Analyzer, built by NewAnalyzer on the
+// first probe and reused after it. The searches change only a length
+// or a period, never a path or a priority, so the HP sets stay valid.
 func feasibilityProbe(set *stream.Set) func() (bool, error) {
 	var a *Analyzer
 	return func() (bool, error) {
-		if err := set.Validate(); err != nil {
-			return false, err
-		}
+		var err error
 		if a == nil {
-			a = &Analyzer{Set: set, hps: BuildHPSets(set)}
+			a, err = NewAnalyzer(set)
+		} else {
+			err = set.Validate()
+		}
+		if err != nil {
+			return false, err
 		}
 		rep, err := a.feasibility()
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 )
 
 // Buckets is the number of power-of-two buckets; bucket i counts values
@@ -128,37 +127,4 @@ func (h *H) String() string {
 	}
 	return fmt.Sprintf("hist{n=%d min=%d mean=%.1f p50≤%d p95≤%d p99≤%d max=%d}",
 		h.total, h.min, h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.max)
-}
-
-// Bar renders an ASCII bar chart of the non-empty bucket range.
-func (h *H) Bar(width int) string {
-	if h.total == 0 {
-		return "(no observations)\n"
-	}
-	if width <= 0 {
-		width = 40
-	}
-	lo, hi := -1, -1
-	var peak int64
-	for b := 0; b < Buckets; b++ {
-		if h.counts[b] > 0 {
-			if lo < 0 {
-				lo = b
-			}
-			hi = b
-			if h.counts[b] > peak {
-				peak = h.counts[b]
-			}
-		}
-	}
-	var sb strings.Builder
-	for b := lo; b <= hi; b++ {
-		n := int(float64(h.counts[b]) / float64(peak) * float64(width))
-		lower := 0
-		if b > 0 {
-			lower = 1 << (b - 1)
-		}
-		fmt.Fprintf(&sb, "%8d..%-8d %8d |%s\n", lower, bucketUpper(b), h.counts[b], strings.Repeat("#", n))
-	}
-	return sb.String()
 }

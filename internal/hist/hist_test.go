@@ -17,9 +17,6 @@ func TestEmpty(t *testing.T) {
 	if h.String() != "hist{empty}" {
 		t.Fatalf("String = %q", h.String())
 	}
-	if !strings.Contains(h.Bar(10), "no observations") {
-		t.Fatal("Bar on empty")
-	}
 }
 
 func TestBasicStats(t *testing.T) {
@@ -105,21 +102,6 @@ func TestMerge(t *testing.T) {
 	empty.Merge(&a)
 	if empty.Count() != 100 || empty.Min() != 0 {
 		t.Fatal("merging into empty wrong")
-	}
-}
-
-func TestBarRendering(t *testing.T) {
-	var h H
-	for i := 0; i < 100; i++ {
-		h.Observe(8) // bucket 4..7? 8 -> bits.Len(8)=4 -> bucket 4 holds 8..15
-	}
-	h.Observe(1)
-	out := h.Bar(20)
-	if !strings.Contains(out, "####################") {
-		t.Fatalf("peak bucket should be full width:\n%s", out)
-	}
-	if !strings.Contains(out, "8..15") {
-		t.Fatalf("bucket labels wrong:\n%s", out)
 	}
 }
 

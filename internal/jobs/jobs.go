@@ -241,94 +241,6 @@ func (c *Controller) Remove(name string) error {
 	return nil
 }
 
-// Repack re-places every admitted job from scratch (in admission
-// order) to defragment the machine after removals. It commits the new
-// placements only when the re-packed system is feasible; otherwise the
-// controller is left exactly as it was.
-func (c *Controller) Repack() (bool, error) {
-	if len(c.order) == 0 {
-		return true, nil
-	}
-	// Snapshot current state for rollback.
-	oldUsed := make(map[topology.NodeID]string, len(c.used))
-	for k, v := range c.used {
-		oldUsed[k] = v
-	}
-	oldAssign := make(map[string]place.Assignment, len(c.jobs))
-	for name, p := range c.jobs {
-		a := make(place.Assignment, len(p.Assignment))
-		copy(a, p.Assignment)
-		oldAssign[name] = a
-	}
-	rollback := func() {
-		c.used = oldUsed
-		for name, a := range oldAssign {
-			c.jobs[name].Assignment = a
-		}
-	}
-
-	c.used = make(map[topology.NodeID]string)
-	iters := c.AnnealIterations
-	if iters == 0 {
-		iters = 3000
-	}
-	for _, name := range c.order {
-		p := c.jobs[name]
-		free := c.FreeNodes()
-		assignG, err := place.GreedyOn(p.Job.Graph, c.topo, c.router, free)
-		if err != nil {
-			rollback()
-			return false, err
-		}
-		refined, err := place.AnnealOn(p.Job.Graph, c.topo, c.router, assignG, free,
-			place.AnnealConfig{Seed: int64(len(name)), Iterations: iters})
-		if err != nil {
-			rollback()
-			return false, err
-		}
-		p.Assignment = refined
-		for _, n := range refined {
-			c.used[n] = name
-		}
-	}
-
-	// Test the re-packed traffic in a candidate admission controller:
-	// one atomic batch over every stream, exactly the old full test.
-	// The live controller is swapped in only on success, so rollback
-	// never has to touch it.
-	cand, err := admit.New(c.topo, admit.Config{})
-	if err != nil {
-		rollback()
-		return false, err
-	}
-	var specs []admit.Spec
-	for _, name := range c.order {
-		p := c.jobs[name]
-		specs = append(specs, specsFor(p.Job, p.Assignment)...)
-	}
-	newHandles := make(map[string][]admit.Handle, len(c.order))
-	if len(specs) > 0 {
-		res, err := cand.AdmitBatch(specs)
-		if err != nil {
-			rollback()
-			return false, err
-		}
-		if !res.Admitted {
-			rollback()
-			return false, nil
-		}
-		k := 0
-		for _, name := range c.order {
-			n := len(c.jobs[name].Job.Graph.Demands)
-			newHandles[name] = res.Handles[k : k+n]
-			k += n
-		}
-	}
-	c.ac = cand
-	c.handles = newHandles
-	return true, nil
-}
-
 // Report returns the feasibility verdicts over the currently admitted
 // traffic, served from the admission controller's cached bounds —
 // byte-identical to a fresh core.DetermineFeasibility over the

@@ -176,44 +176,6 @@ func TestUtilizationString(t *testing.T) {
 	}
 }
 
-// TestRepackAfterRemovals: removing jobs fragments the machine; Repack
-// re-places the survivors and the system stays feasible.
-func TestRepackAfterRemovals(t *testing.T) {
-	c := newController(t, 4, 4)
-	for i, name := range []string{"a", "b", "c", "d"} {
-		v, err := c.Admit(pipelineJob(name, 3, 1+i%2, 80, 6, 80))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !v.Admitted {
-			t.Fatalf("%s rejected: %s", name, v.Reason)
-		}
-	}
-	if err := c.Remove("b"); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := c.Repack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("repack should keep the system feasible")
-	}
-	// Node accounting intact: 3 jobs * 3 tasks.
-	if len(c.FreeNodes()) != 16-9 {
-		t.Fatalf("free nodes = %d", len(c.FreeNodes()))
-	}
-	rep, err := c.Report()
-	if err != nil || !rep.Feasible {
-		t.Fatalf("post-repack report: %v %v", rep, err)
-	}
-	// Repack on an empty controller is a no-op.
-	empty := newController(t, 3, 3)
-	if ok, err := empty.Repack(); err != nil || !ok {
-		t.Fatal("empty repack should succeed")
-	}
-}
-
 // TestAdmissionFillsMachine: jobs keep being admitted until nodes run
 // out; every intermediate state stays feasible.
 func TestAdmissionFillsMachine(t *testing.T) {

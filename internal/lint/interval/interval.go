@@ -130,14 +130,6 @@ var thresholds = []int64{
 	math.MaxInt64 / 4, MaxV,
 }
 
-// Thresholds returns a copy of the widening ladder (for tests and
-// docs).
-func Thresholds() []int64 {
-	out := make([]int64, len(thresholds))
-	copy(out, thresholds)
-	return out
-}
-
 // widenLo returns the largest threshold ≤ v.
 func widenLo(v int64) int64 {
 	lo := int64(MinV)

@@ -111,15 +111,6 @@ func (t *RatioTable) TopLevelMeanRatio() float64 {
 	return t.Rows[0].MeanRatio
 }
 
-// BottomLevelMeanRatio returns the mean ratio of the lowest priority
-// level, or NaN when the table is empty.
-func (t *RatioTable) BottomLevelMeanRatio() float64 {
-	if len(t.Rows) == 0 {
-		return math.NaN()
-	}
-	return t.Rows[len(t.Rows)-1].MeanRatio
-}
-
 // CSV renders the per-stream measurements as comma-separated values
 // with a header row, for spreadsheet or plotting pipelines.
 func (t *RatioTable) CSV() string {

@@ -53,9 +53,6 @@ func TestBuildAndFormat(t *testing.T) {
 	if tab.TopLevelMeanRatio() != tab.Rows[0].MeanRatio {
 		t.Fatal("TopLevelMeanRatio inconsistent")
 	}
-	if tab.BottomLevelMeanRatio() != tab.Rows[1].MeanRatio {
-		t.Fatal("BottomLevelMeanRatio inconsistent")
-	}
 	out := tab.Format()
 	for _, want := range []string{"test table", "P = 2", "P = 1", "mean/U"} {
 		if !strings.Contains(out, want) {
@@ -128,7 +125,7 @@ func TestCSVExport(t *testing.T) {
 
 func TestEmptyTableRatios(t *testing.T) {
 	tab := &RatioTable{}
-	if !math.IsNaN(tab.TopLevelMeanRatio()) || !math.IsNaN(tab.BottomLevelMeanRatio()) {
-		t.Fatal("empty table ratios should be NaN")
+	if !math.IsNaN(tab.TopLevelMeanRatio()) {
+		t.Fatal("empty table ratio should be NaN")
 	}
 }

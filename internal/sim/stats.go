@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/hist"
 	"repro/internal/stream"
@@ -111,76 +110,6 @@ func NewResult(set *stream.Set, cfg Config) *Result {
 		r.PerStream[i].ID = stream.ID(i)
 	}
 	return r
-}
-
-// LevelStats aggregates the streams of one priority level.
-type LevelStats struct {
-	Priority  int
-	Streams   int
-	Observed  int
-	SumMean   float64 // sum of per-stream mean latencies
-	MaxMax    int     // worst max latency at the level
-	Misses    int
-	Dropped   int
-	Latencies hist.H // merged distribution of the level
-}
-
-// MeanOfMeans returns the average of the level's per-stream means.
-func (ls LevelStats) MeanOfMeans() float64 {
-	if ls.Streams == 0 {
-		return math.NaN()
-	}
-	return ls.SumMean / float64(ls.Streams)
-}
-
-// ByPriority groups the per-stream statistics by priority level,
-// descending (most important first). Streams with no observations are
-// counted but contribute nothing to the latency aggregates.
-func (r *Result) ByPriority(set *stream.Set) []LevelStats {
-	byLevel := map[int]*LevelStats{}
-	for i := range r.PerStream {
-		st := &r.PerStream[i]
-		p := set.Get(stream.ID(i)).Priority
-		ls, ok := byLevel[p]
-		if !ok {
-			ls = &LevelStats{Priority: p}
-			byLevel[p] = ls
-		}
-		ls.Streams++
-		ls.Misses += st.Misses
-		ls.Dropped += st.Dropped
-		if st.Observed > 0 {
-			ls.Observed += st.Observed
-			ls.SumMean += st.Mean()
-			if st.MaxLatency > ls.MaxMax {
-				ls.MaxMax = st.MaxLatency
-			}
-			ls.Latencies.Merge(&st.Latencies)
-		}
-	}
-	var levels []int
-	for p := range byLevel {
-		levels = append(levels, p)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(levels)))
-	out := make([]LevelStats, 0, len(levels))
-	for _, p := range levels {
-		out = append(out, *byLevel[p])
-	}
-	return out
-}
-
-// MaxChannelUtilization returns the highest per-channel utilisation
-// observed during the run.
-func (r *Result) MaxChannelUtilization() float64 {
-	max := 0.0
-	//rtwlint:ignore detrand max reduction; the result is the same in any iteration order
-	for _, cs := range r.PerChannel {
-		if u := cs.Utilization(r.Cycles); u > max {
-			max = u
-		}
-	}
-	return max
 }
 
 // TotalDelivered sums deliveries over all streams.

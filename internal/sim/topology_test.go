@@ -106,9 +106,6 @@ func TestChannelStats(t *testing.T) {
 			t.Fatalf("channel %s utilisation %.3f, want ~0.5", ch, u)
 		}
 	}
-	if u := res.MaxChannelUtilization(); u < 0.49 || u > 0.51 {
-		t.Fatalf("max utilisation %.3f", u)
-	}
 	if (ChannelStats{}).Utilization(0) != 0 {
 		t.Fatal("zero-cycle utilisation should be 0")
 	}
@@ -166,41 +163,5 @@ func TestSimulatorOnCustomTopology(t *testing.T) {
 	}
 	if res.PerStream[1].Observed == 0 {
 		t.Fatal("second stream starved")
-	}
-}
-
-// TestByPriorityAggregation: level grouping sums and merges per-stream
-// statistics correctly.
-func TestByPriorityAggregation(t *testing.T) {
-	m := topology.NewMesh2D(8, 1)
-	set := mustSet(t, m, [][6]int{
-		{0, 7, 2, 40, 3, 40},
-		{0, 7, 2, 50, 4, 50},
-		{0, 7, 1, 60, 8, 60},
-	})
-	s, err := New(set, Config{Cycles: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	levels := res.ByPriority(set)
-	if len(levels) != 2 || levels[0].Priority != 2 || levels[1].Priority != 1 {
-		t.Fatalf("levels: %+v", levels)
-	}
-	if levels[0].Streams != 2 || levels[1].Streams != 1 {
-		t.Fatalf("stream counts: %+v", levels)
-	}
-	if levels[0].Observed != res.PerStream[0].Observed+res.PerStream[1].Observed {
-		t.Fatal("observed sum wrong")
-	}
-	if levels[0].Latencies.Count() != int64(levels[0].Observed) {
-		t.Fatal("merged histogram count wrong")
-	}
-	if levels[0].MeanOfMeans() <= 0 {
-		t.Fatal("mean of means wrong")
-	}
-	var empty LevelStats
-	if !isNaN(empty.MeanOfMeans()) {
-		t.Fatal("empty level should be NaN")
 	}
 }

@@ -68,32 +68,6 @@ func Parse(name string) (Topology, error) {
 	}
 }
 
-// ParseList parses a comma-separated list of short names, preserving
-// order and rejecting duplicates.
-func ParseList(names string) ([]Topology, error) {
-	var out []Topology
-	seen := make(map[string]bool)
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("topology: duplicate %q in list", name)
-		}
-		seen[name] = true
-		t, err := Parse(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("topology: empty list %q", names)
-	}
-	return out, nil
-}
-
 func parseDim(name, s string) (int, error) {
 	v, err := strconv.Atoi(s)
 	if err != nil {

@@ -28,25 +28,3 @@ func TestParseRejectsMalformedNames(t *testing.T) {
 		}
 	}
 }
-
-func TestParseList(t *testing.T) {
-	topos, err := ParseList("mesh2d-4x4, ring-8,hypercube-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"mesh2d-4x4", "ring-8", "hypercube-3"}
-	if len(topos) != len(want) {
-		t.Fatalf("got %d topologies, want %d", len(topos), len(want))
-	}
-	for i, w := range want {
-		if topos[i].Name() != w {
-			t.Fatalf("topos[%d] = %s, want %s", i, topos[i].Name(), w)
-		}
-	}
-	if _, err := ParseList("ring-8,ring-8"); err == nil {
-		t.Fatal("ParseList accepted a duplicate")
-	}
-	if _, err := ParseList(" , "); err == nil {
-		t.Fatal("ParseList accepted an empty list")
-	}
-}

@@ -1,16 +1,14 @@
 // Package trace records and renders simulator events: message
 // releases, virtual-channel acquisitions and releases, and deliveries.
 // A Recorder turns the event stream into per-message channel-occupancy
-// intervals, from which it renders Gantt-style timelines and computes
-// hold-time statistics — the visibility needed to see wormhole blocking
-// (and the paper's flit-level preemption) actually happen.
+// intervals — the visibility needed to see wormhole blocking (and the
+// paper's flit-level preemption) actually happen.
 package trace
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -195,73 +193,4 @@ func (r *Recorder) Timelines() []Timeline {
 		return out[i].Key.Seq < out[j].Key.Seq
 	})
 	return out
-}
-
-// HoldStats summarises channel-holding behaviour per stream: total and
-// maximum cycles a single channel was held. Long holds on a blocked
-// worm are exactly the hazard of Figure 2.
-type HoldStats struct {
-	Stream    stream.ID
-	Holds     int
-	Total     int
-	Max       int
-	Undrained int // intervals still open at the end of the trace
-}
-
-// HoldStatsByStream aggregates interval lengths per stream; endCycle
-// closes still-open intervals.
-func (r *Recorder) HoldStatsByStream(endCycle int) map[stream.ID]HoldStats {
-	out := map[stream.ID]HoldStats{}
-	for _, tl := range r.Timelines() {
-		hs := out[tl.Key.Stream]
-		hs.Stream = tl.Key.Stream
-		for _, iv := range tl.Intervals {
-			to := iv.To
-			if to < 0 {
-				to = endCycle
-				hs.Undrained++
-			}
-			d := to - iv.From
-			hs.Holds++
-			hs.Total += d
-			if d > hs.Max {
-				hs.Max = d
-			}
-		}
-		out[tl.Key.Stream] = hs
-	}
-	return out
-}
-
-// Gantt renders the timeline of one message as ASCII art: one line per
-// channel it held, '#' while held. Cycles are clipped to [from, to).
-func (tl Timeline) Gantt(from, to int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "M%d#%d released t=%d", tl.Key.Stream, tl.Key.Seq, tl.Released)
-	if tl.Delivered >= 0 {
-		fmt.Fprintf(&b, ", delivered t=%d (latency %d)", tl.Delivered, tl.Latency())
-	} else {
-		b.WriteString(", undelivered")
-	}
-	b.WriteByte('\n')
-	width := to - from
-	if width <= 0 {
-		return b.String()
-	}
-	for _, iv := range tl.Intervals {
-		fmt.Fprintf(&b, "  %-10s vc%d |", iv.Link.String(), iv.VC)
-		end := iv.To
-		if end < 0 {
-			end = to
-		}
-		for c := from; c < to; c++ {
-			if c >= iv.From && c < end {
-				b.WriteByte('#')
-			} else {
-				b.WriteByte('.')
-			}
-		}
-		b.WriteString("|\n")
-	}
-	return b.String()
 }

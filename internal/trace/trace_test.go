@@ -54,22 +54,6 @@ func TestRecorderTimelines(t *testing.T) {
 	}
 }
 
-func TestHoldStats(t *testing.T) {
-	r := &Recorder{}
-	for _, e := range sampleEvents() {
-		r.Event(e)
-	}
-	hs := r.HoldStatsByStream(10)
-	s0 := hs[0]
-	if s0.Holds != 2 || s0.Total != 3+3 || s0.Max != 3 || s0.Undrained != 0 {
-		t.Fatalf("stream 0 hold stats: %+v", s0)
-	}
-	s1 := hs[1]
-	if s1.Holds != 1 || s1.Total != 5 || s1.Undrained != 1 {
-		t.Fatalf("stream 1 hold stats: %+v", s1)
-	}
-}
-
 func TestRecorderLimit(t *testing.T) {
 	r := &Recorder{Limit: 3}
 	for _, e := range sampleEvents() {
@@ -80,33 +64,6 @@ func TestRecorderLimit(t *testing.T) {
 	}
 	if r.Dropped() != len(sampleEvents())-3 {
 		t.Fatalf("dropped %d", r.Dropped())
-	}
-}
-
-func TestGanttRendering(t *testing.T) {
-	r := &Recorder{}
-	for _, e := range sampleEvents() {
-		r.Event(e)
-	}
-	tl := r.Timelines()[0]
-	out := tl.Gantt(0, 6)
-	if !strings.Contains(out, "latency 4") {
-		t.Fatalf("missing latency: %s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 interval lines:\n%s", out)
-	}
-	// ch1 held cycles 0-2: "###..." within |...|
-	if !strings.Contains(lines[1], "|###...|") {
-		t.Fatalf("ch1 bar wrong: %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "|.###..|") {
-		t.Fatalf("ch2 bar wrong: %q", lines[2])
-	}
-	// Degenerate window.
-	if out := tl.Gantt(5, 5); strings.Count(out, "\n") != 1 {
-		t.Fatalf("degenerate window should render header only: %q", out)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package viz renders analysis artifacts as standalone SVG documents —
-// timing diagrams in the style of the paper's Figures 4-9 and mesh
-// link-utilisation heatmaps — using nothing but string assembly, so
-// the repository stays dependency-free. The SVGs open in any browser
+// timing diagrams in the style of the paper's Figures 4-9 and scatter
+// plots — using nothing but string assembly, so the repository stays
+// dependency-free. The SVGs open in any browser
 // and are convenient for papers, slides and debugging sessions.
 package viz
 
@@ -10,8 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 const (
@@ -98,125 +96,6 @@ func TimingDiagramSVG(d *core.Diagram, title string, maxCols int) string {
 			x, legendY-cell+3, cell, cell, cellFill(l.c))
 		fmt.Fprintf(&b, `<text x="%d" y="%d">%s</text>`+"\n", x+cell+4, legendY, l.t)
 		x += cell + 4 + 9*len(l.t) + 14
-	}
-	b.WriteString("</svg>\n")
-	return b.String()
-}
-
-// heatColor maps a utilisation in [0,1] to a white→red ramp.
-func heatColor(u float64) string {
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	// White (255,255,255) to red (197,48,48).
-	r := 255 - int(u*float64(255-197))
-	g := 255 - int(u*float64(255-48))
-	bl := 255 - int(u*float64(255-48))
-	return fmt.Sprintf("#%02x%02x%02x", r, g, bl)
-}
-
-// MeshHeatmapSVG renders per-link utilisation of a 2D-mesh run: nodes
-// as circles, links as lines coloured by the busier direction's
-// utilisation and labelled with its percentage.
-func MeshHeatmapSVG(m *topology.Mesh2D, res *sim.Result, title string) string {
-	const pitch = 64
-	const margin = 40
-	width := margin*2 + (m.W-1)*pitch
-	height := margin*2 + (m.H-1)*pitch + 20
-
-	util := func(a, b topology.NodeID) (float64, bool) {
-		ca, oka := res.PerChannel[topology.Channel{From: a, To: b}]
-		cb, okb := res.PerChannel[topology.Channel{From: b, To: a}]
-		if !oka && !okb {
-			return 0, false
-		}
-		ua, ub := ca.Utilization(res.Cycles), cb.Utilization(res.Cycles)
-		if ua > ub {
-			return ua, true
-		}
-		return ub, true
-	}
-	pos := func(x, y int) (int, int) { return margin + x*pitch, margin + 20 + y*pitch }
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="9">`+"\n", width, height)
-	fmt.Fprintf(&b, `<text x="%d" y="16" font-size="13">%s</text>`+"\n", margin, escape(title))
-	// Links first (under the nodes).
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			x1, y1 := pos(x, y)
-			if x < m.W-1 {
-				u, used := util(m.ID(x, y), m.ID(x+1, y))
-				drawLink(&b, x1, y1, x1+pitch, y1, u, used)
-			}
-			if y < m.H-1 {
-				u, used := util(m.ID(x, y), m.ID(x, y+1))
-				drawLink(&b, x1, y1, x1, y1+pitch, u, used)
-			}
-		}
-	}
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			cx, cy := pos(x, y)
-			fmt.Fprintf(&b, `<circle cx="%d" cy="%d" r="7" fill="#edf2f7" stroke="#2d3748"/>`+"\n", cx, cy)
-		}
-	}
-	b.WriteString("</svg>\n")
-	return b.String()
-}
-
-func drawLink(b *strings.Builder, x1, y1, x2, y2 int, u float64, used bool) {
-	color := "#e2e8f0"
-	w := 2.0
-	if used {
-		color = heatColor(u)
-		w = 2 + 6*u
-	}
-	fmt.Fprintf(b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" stroke-width="%.1f"/>`+"\n", x1, y1, x2, y2, color, w)
-	if used {
-		fmt.Fprintf(b, `<text x="%d" y="%d" text-anchor="middle" fill="#2d3748">%.0f%%</text>`+"\n",
-			(x1+x2)/2, (y1+y2)/2-3, u*100)
-	}
-}
-
-// GanttSVG renders message channel-holding timelines from trace
-// intervals (one lane per channel held), clipped to [from, to).
-type GanttRow struct {
-	Label    string
-	From, To int // interval, To == -1 for still-open
-}
-
-// GanttSVG draws rows of holding intervals over a time window.
-func GanttSVG(title string, rows []GanttRow, from, to int) string {
-	if to <= from {
-		to = from + 1
-	}
-	width := left + (to-from)*4 + 20
-	height := top + len(rows)*(cell+rowPad) + 30
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="11">`+"\n", width, height)
-	fmt.Fprintf(&b, `<text x="%d" y="16" font-size="13">%s</text>`+"\n", left, escape(title))
-	for i, r := range rows {
-		y := top + i*(cell+rowPad)
-		fmt.Fprintf(&b, `<text x="4" y="%d">%s</text>`+"\n", y+cell-3, escape(r.Label))
-		end := r.To
-		if end < 0 {
-			end = to
-		}
-		if end > to {
-			end = to
-		}
-		start := r.From
-		if start < from {
-			start = from
-		}
-		if end > start {
-			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" fill="#2b6cb0"/>`+"\n",
-				left+(start-from)*4, y, (end-start)*4, cell)
-		}
 	}
 	b.WriteString("</svg>\n")
 	return b.String()

@@ -6,10 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/routing"
-	"repro/internal/sim"
 	"repro/internal/stream"
-	"repro/internal/topology"
 )
 
 func figureDiagram(t *testing.T) *core.Diagram {
@@ -68,47 +65,6 @@ func TestTimingDiagramSVG(t *testing.T) {
 	}
 }
 
-func TestMeshHeatmapSVG(t *testing.T) {
-	m := topology.NewMesh2D(3, 2)
-	r := routing.NewXY(m)
-	set := stream.NewSet(m)
-	if _, err := set.Add(r, m.ID(0, 0), m.ID(2, 0), 1, 10, 5, 10); err != nil {
-		t.Fatal(err)
-	}
-	s, err := sim.New(set, sim.Config{Cycles: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	svg := MeshHeatmapSVG(m, res, "heat")
-	wellFormed(t, svg)
-	if got := strings.Count(svg, "<circle"); got != 6 {
-		t.Fatalf("circle count %d, want 6", got)
-	}
-	// Two used links labelled ~50%.
-	if !strings.Contains(svg, "50%") {
-		t.Fatalf("missing utilisation label:\n%s", svg)
-	}
-	// Links: horizontal 2*2 + vertical 3 = 7 lines.
-	if got := strings.Count(svg, "<line"); got != 7 {
-		t.Fatalf("line count %d, want 7", got)
-	}
-}
-
-func TestGanttSVG(t *testing.T) {
-	rows := []GanttRow{
-		{Label: "0->1", From: 0, To: 5},
-		{Label: "1->2", From: 2, To: -1}, // still open
-	}
-	svg := GanttSVG("worm", rows, 0, 10)
-	wellFormed(t, svg)
-	if strings.Count(svg, "<rect") != 2 {
-		t.Fatalf("rect count:\n%s", svg)
-	}
-	// Degenerate window handled.
-	wellFormed(t, GanttSVG("w", rows, 5, 5))
-}
-
 func TestScatterSVG(t *testing.T) {
 	pts := []ScatterPoint{
 		{X: 100, Y: 0.2, Line: true},
@@ -142,17 +98,5 @@ func TestScatterSVGDeterministic(t *testing.T) {
 	b := ScatterSVG("t", "x", "y", pts)
 	if a != b {
 		t.Fatal("same inputs, different SVG")
-	}
-}
-
-func TestHeatColorRange(t *testing.T) {
-	if heatColor(0) != "#ffffff" {
-		t.Fatalf("0 -> %s", heatColor(0))
-	}
-	if heatColor(1) != "#c53030" {
-		t.Fatalf("1 -> %s", heatColor(1))
-	}
-	if heatColor(-1) != heatColor(0) || heatColor(2) != heatColor(1) {
-		t.Fatal("clamping broken")
 	}
 }
