@@ -59,7 +59,6 @@ func (v Violation) String() string {
 // CrossCheckReport is the outcome of a campaign.
 type CrossCheckReport struct {
 	Config     CrossCheckConfig
-	Trials     int
 	Checked    int // streams with a bound and observations
 	Violations []Violation
 	WorstRatio float64 // max over all checked streams of max-latency/U
@@ -87,7 +86,7 @@ func (r *CrossCheckReport) Genuine() int {
 func (r *CrossCheckReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "crosscheck: %d trials x %d streams (%d levels), %d flit times each\n",
-		r.Trials, r.Config.Streams, r.Config.PLevels, r.Config.Cycles)
+		r.Config.Trials, r.Config.Streams, r.Config.PLevels, r.Config.Cycles)
 	fmt.Fprintf(&b, "checked %d stream-bounds; worst max/U ratio %.3f; %d violations\n",
 		r.Checked, r.WorstRatio, len(r.Violations))
 	for _, v := range r.Violations {
@@ -117,7 +116,7 @@ func (r *CrossCheckReport) Format() string {
 func CrossCheck(cfg CrossCheckConfig) (*CrossCheckReport, error) {
 	cfg = cfg.withDefaults()
 	spec := TableSpec{Streams: cfg.Streams, PLevels: cfg.PLevels, Cycles: cfg.Cycles}.withDefaults()
-	rep := &CrossCheckReport{Config: cfg, Trials: cfg.Trials}
+	rep := &CrossCheckReport{Config: cfg}
 	for i := 0; i < cfg.Trials; i++ {
 		seed := cfg.Seed + int64(i)*104729
 		set, table, err := trial(spec, seed)

@@ -4,9 +4,11 @@
 // flit-level simulator and the metrics aggregation. Every simulation
 // runs on the event engine (package eventsim), which returns the same
 // sim.Result as the cycle-accurate oracle in package sim, stat for
-// stat, in a fraction of the time. The command-line tools (cmd/tables,
-// cmd/figures) and the benchmark harness (bench_test.go) are thin
-// wrappers around this package.
+// stat, in a fraction of the time. One §5 trial (trial, then measure)
+// serves the tables, the measuring sweeps and the crosscheck campaign.
+// The command-line tools (cmd/tables, cmd/figures, cmd/crosscheck) and
+// the benchmark harness (bench_test.go) are thin wrappers around this
+// package.
 package exp
 
 import (

@@ -38,7 +38,7 @@ func testWorkload(t *testing.T) Workload {
 // lightWorkload is gentle enough (8 short streams on 4 levels) that
 // the simulator confirms the analysis verdict with zero misses: few
 // streams share a priority level, so the same-priority head-of-line
-// hazard the model does not charge (see internal/crosscheck) is absent.
+// hazard the model does not charge (see exp.CrossCheck) is absent.
 func lightWorkload(t *testing.T) Workload {
 	t.Helper()
 	set, _, err := workload.Generate(workload.Config{

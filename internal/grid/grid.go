@@ -93,8 +93,9 @@ func (g *Grid) ForEach(fn func(i int, coords []int) error) error {
 // Map calls f(i) for every i in [0, n) from a pool of workers and
 // returns each call's result and error at index i. workers <= 0 means
 // GOMAXPROCS, and the pool never exceeds n. Every index runs whatever
-// the others return, so the outcome is a pure function of f for every
-// worker count and schedule; the caller decides which errors matter.
+// the others return, so when f(i) depends on i alone the outcome is the
+// same for every worker count and schedule; the caller decides which
+// errors matter.
 func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, []error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
