@@ -21,7 +21,7 @@ func TestCrossCheckCampaignRuns(t *testing.T) {
 	}
 	for _, v := range rep.Violations {
 		if v.SamePriorityOverlaps == 0 {
-			t.Fatalf("violation without same-priority sharing — a genuine analysis bug: %s", v)
+			t.Fatalf("violation without same-priority sharing on the victim's path, a candidate analysis defect: %s", v)
 		}
 	}
 	out := rep.Format()
