@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-fix lint-sarif bench bench-json load-smoke explore-smoke mc-smoke reproduce reproduce-check quick-reproduce fuzz cover clean
+.PHONY: all build test test-race vet lint bench bench-json load-smoke explore-smoke mc-smoke reproduce reproduce-check quick-reproduce fuzz cover clean
 
 all: build vet lint test
 
@@ -21,22 +21,6 @@ lint:
 	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/rtwlint ./...
-
-# Apply every suggested fix rtwlint knows (today: deleting stale
-# //rtwlint:ignore directives); exits non-zero when unfixable findings
-# remain. CI runs this and fails if it would produce a diff — fixable
-# findings must not be committed.
-lint-fix:
-	$(GO) run ./cmd/rtwlint -fix ./...
-
-# SARIF 2.1.0 log of the full run, for code-scanning upload. The
-# artifact is always written (exit 1 = findings, still a valid log),
-# but the exit status is propagated: a crash (exit 2) must fail the
-# target instead of silently uploading an empty/partial SARIF.
-lint-sarif:
-	@status=0; $(GO) run ./cmd/rtwlint -sarif ./... > rtwlint.sarif || status=$$?; \
-	if [ "$$status" -ge 2 ]; then echo "rtwlint -sarif failed (exit $$status)"; fi; \
-	exit $$status
 
 test:
 	$(GO) test ./...

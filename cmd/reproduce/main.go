@@ -106,14 +106,16 @@ func run(dir string, trials, cycles int) error {
 	if err != nil {
 		return err
 	}
-	svgs := map[string]string{
-		"figure4.svg": viz.TimingDiagramSVG(d4, "Figure 4 — direct blocking (U = 26)", 0),
-		"figure6.svg": viz.TimingDiagramSVG(d6, "Figure 6 — indirect blocking (U = 22)", 0),
-		"figure7.svg": viz.TimingDiagramSVG(initial, "Figure 7 — initial HP_4 diagram", 0),
-		"figure9.svg": viz.TimingDiagramSVG(final, "Figure 9 — final HP_4 diagram (U_4 = 33)", 0),
+	// Listed in a fixed order, so the "wrote" lines print the same on
+	// every run.
+	svgs := []struct{ name, svg string }{
+		{"figure4.svg", viz.TimingDiagramSVG(d4, "Figure 4 — direct blocking (U = 26)", 0)},
+		{"figure6.svg", viz.TimingDiagramSVG(d6, "Figure 6 — indirect blocking (U = 22)", 0)},
+		{"figure7.svg", viz.TimingDiagramSVG(initial, "Figure 7 — initial HP_4 diagram", 0)},
+		{"figure9.svg", viz.TimingDiagramSVG(final, "Figure 9 — final HP_4 diagram (U_4 = 33)", 0)},
 	}
-	for name, svg := range svgs {
-		if err := write(name, svg); err != nil {
+	for _, f := range svgs {
+		if err := write(f.name, f.svg); err != nil {
 			return err
 		}
 	}

@@ -2,33 +2,24 @@
 // internal/lint and docs/LINTING.md) over the packages matching the
 // given patterns:
 //
-//	rtwlint [-list] [-only name,name] [-json|-sarif] [-fix] [packages...]
+//	rtwlint [-list] [-only name,name] [packages...]
 //
 // With no patterns it checks ./.... Findings from every package are
 // merged and sorted by file, line, column, analyzer, message — the
-// output is byte-stable across runs and machines. The default format is
-// one finding per line:
+// output is byte-stable across runs and machines — and printed one per
+// line:
 //
 //	path/file.go:line:col: message (analyzer)
 //
-// -json emits the same findings as a JSON array; -sarif emits a SARIF
-// 2.1.0 log (the format GitHub code scanning ingests). -fix applies the
-// first suggested fix of every diagnostic that carries one, rewriting
-// the files in place (gofmt-formatted), and succeeds when every finding
-// was fixable.
-//
-// Exit status: 0 on a clean run (or, with -fix, when every finding was
-// fixed), 1 when findings survive, 2 on usage or load errors. rtwlint
-// complements `go vet` (run both; see `make lint`): vet covers the
-// generic mistakes, rtwlint the invariants of the paper's analysis
-// pipeline.
+// Exit status: 0 on a clean run, 1 when findings survive, 2 on usage or
+// load errors. rtwlint complements `go vet` (run both; see `make
+// lint`): vet covers the generic mistakes, rtwlint the invariants of
+// the paper's analysis pipeline.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
 	"path/filepath"
@@ -46,17 +37,13 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// finding is one diagnostic with its resolved position, the unit the
-// output formats share.
+// finding is one diagnostic with its resolved position.
 type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable,omitempty"`
-
-	diag analysis.Diagnostic
+	File     string
+	Line     int
+	Column   int
+	Analyzer string
+	Message  string
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -64,18 +51,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
-	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	fix := fs.Bool("fix", false, "apply the first suggested fix of each finding, rewriting files in place")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: rtwlint [-list] [-only name,name] [-json|-sarif] [-fix] [packages...]\n\n")
+		fmt.Fprintf(stderr, "usage: rtwlint [-list] [-only name,name] [packages...]\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(stderr, "rtwlint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -101,15 +81,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Every package of one Load call shares a FileSet, so diagnostics
-	// from different packages sort (and fix) against the same positions.
-	// Packages run in parallel inside one module context: the call
-	// graph and function summaries are built once
-	// (analysis.Module.Shared) and every pass reuses them. Results
-	// are indexed by package, then merged in package order, so the
-	// output stays byte-identical to a serial run.
-	var fset = tokenFileSet(pkgs)
-	mod := analysis.NewModule(pkgs)
+	// Packages run in parallel and share nothing: each run caches its
+	// own interval fixpoints. Results are indexed by package, then
+	// merged and sorted, so the output stays byte-identical to a serial
+	// run.
 	perPkg := make([][]analysis.Diagnostic, len(pkgs))
 	errs := make([]error, len(pkgs))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -121,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			// Each goroutine writes only its own index; wg.Wait orders the reads.
-			perPkg[i], errs[i] = analysis.RunInModule(pkg, mod, analyzers)
+			perPkg[i], errs[i] = analysis.Run(pkg, analyzers)
 		}(i, pkg)
 	}
 	wg.Wait()
@@ -139,50 +114,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Column:   pos.Column,
 				Analyzer: d.Analyzer,
 				Message:  d.Message,
-				Fixable:  len(d.SuggestedFixes) > 0,
-				diag:     d,
 			})
 		}
 	}
 	sortFindings(findings)
-
-	switch {
-	case *asJSON:
-		if err := writeJSON(stdout, findings); err != nil {
-			fmt.Fprintln(stderr, "rtwlint:", err)
-			return 2
-		}
-	case *asSARIF:
-		if err := writeSARIF(stdout, analyzers, findings); err != nil {
-			fmt.Fprintln(stderr, "rtwlint:", err)
-			return 2
-		}
-	default:
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Column, f.Message, f.Analyzer)
-		}
-	}
-
-	if *fix {
-		fixed, files, err := applyFixes(fset, findings)
-		if err != nil {
-			fmt.Fprintln(stderr, "rtwlint:", err)
-			return 2
-		}
-		unfixed := 0
-		for _, f := range findings {
-			if !f.Fixable {
-				unfixed++
-			}
-		}
-		if fixed > 0 {
-			fmt.Fprintf(stderr, "rtwlint: applied %d fix(es) across %d file(s)\n", fixed, files)
-		}
-		if unfixed > 0 {
-			fmt.Fprintf(stderr, "rtwlint: %d finding(s) had no suggested fix\n", unfixed)
-			return 1
-		}
-		return 0
+	for _, f := range findings {
+		fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Column, f.Message, f.Analyzer)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "rtwlint: %d finding(s)\n", len(findings))
@@ -210,67 +147,6 @@ func sortFindings(fs []finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// tokenFileSet returns the FileSet shared by the loaded packages (nil
-// when no packages matched).
-func tokenFileSet(pkgs []*analysis.Package) *token.FileSet {
-	if len(pkgs) == 0 {
-		return nil
-	}
-	return pkgs[0].Fset
-}
-
-// writeJSON emits the findings as an indented JSON array ([] when
-// clean, never null).
-func writeJSON(w io.Writer, findings []finding) error {
-	if findings == nil {
-		findings = []finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(findings)
-}
-
-// applyFixes applies the first suggested fix of every finding, grouped
-// by file, and rewrites the files in place. It returns the number of
-// edits applied and files rewritten.
-func applyFixes(fset *token.FileSet, findings []finding) (edits, files int, err error) {
-	if fset == nil || len(findings) == 0 {
-		return 0, 0, nil
-	}
-	diags := make([]analysis.Diagnostic, 0, len(findings))
-	for _, f := range findings {
-		if f.Fixable {
-			diags = append(diags, f.diag)
-		}
-	}
-	byFile := analysis.FixEdits(fset, diags)
-	names := make([]string, 0, len(byFile))
-	for name := range byFile {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			return edits, files, err
-		}
-		out, err := analysis.ApplyEdits(fset, src, byFile[name])
-		if err != nil {
-			return edits, files, fmt.Errorf("fixing %s: %w", relPath(name), err)
-		}
-		info, err := os.Stat(name)
-		if err != nil {
-			return edits, files, err
-		}
-		if err := os.WriteFile(name, out, info.Mode().Perm()); err != nil {
-			return edits, files, err
-		}
-		edits += len(byFile[name])
-		files++
-	}
-	return edits, files, nil
 }
 
 // selectAnalyzers resolves a comma-separated -only list.

@@ -118,35 +118,84 @@ func TestQuickModifyNeverIncreasesBound(t *testing.T) {
 }
 
 // TestQuickModifyMonotone: Modify is a single pass, as in the paper's
-// pseudocode, so it is not necessarily a fixpoint — but re-running it
-// can only release more capacity: the result-row free count never
-// decreases and the bound never increases.
+// pseudocode, and not a fixpoint. A second pass can free fewer slots
+// than the first (TestModifyPassesPinned keeps two such inputs), but no
+// pass frees fewer than the initial diagram has: after one and after
+// two passes every prefix of the result row holds at least as many
+// FREE slots as before Modify, so the bound never rises above the
+// initial one.
 func TestQuickModifyMonotone(t *testing.T) {
+	const horizon = 150
 	f := func(re randElements, reqRaw uint8) bool {
-		elems := []Element(re)
 		req := 1 + int(reqRaw%30)
-		once, err := NewDiagram(elems, 150)
+		d, err := NewDiagram([]Element(re), horizon)
 		if err != nil {
 			return false
 		}
-		once.Modify()
-		twice, err := NewDiagram(elems, 150)
-		if err != nil {
-			return false
+		free0 := make([]int, horizon+1)
+		for h := range free0 {
+			free0[h] = d.FreeSlots(h)
 		}
-		twice.Modify()
-		twice.Modify()
-		if twice.FreeSlots(150) < once.FreeSlots(150) {
-			return false
+		u0 := d.DelayUpperBound(req)
+		for pass := 1; pass <= 2; pass++ {
+			d.Modify()
+			for h := 1; h <= horizon; h++ {
+				if d.FreeSlots(h) < free0[h] {
+					return false
+				}
+			}
+			if u := d.DelayUpperBound(req); u0 != -1 && (u == -1 || u > u0) {
+				return false
+			}
 		}
-		u1, u2 := once.DelayUpperBound(req), twice.DelayUpperBound(req)
-		if u1 == -1 {
-			return true
-		}
-		return u2 != -1 && u2 <= u1
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestModifyPassesPinned pins the result row's FREE count at horizon
+// 150 before Modify and after one and two passes, on two inputs where
+// the second pass frees fewer slots than the first. A change to Modify
+// that moves any of these counts shows here.
+func TestModifyPassesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		elems []Element
+		free  [3]int // FREE(150) after zero, one and two passes
+	}{
+		{"four-rows", []Element{
+			{ID: 0, Priority: 4, Period: 12, Length: 4, Mode: Direct},
+			{ID: 1, Priority: 3, Period: 16, Length: 2, Mode: Indirect, Via: []stream.ID{3, 2}},
+			{ID: 2, Priority: 2, Period: 7, Length: 3, Mode: Indirect, Via: []stream.ID{3}},
+			{ID: 3, Priority: 1, Period: 4, Length: 1, Mode: Direct},
+		}, [3]int{6, 10, 9}},
+		{"six-rows", []Element{
+			{ID: 0, Priority: 6, Period: 13, Length: 2, Mode: Direct},
+			{ID: 1, Priority: 5, Period: 11, Length: 2, Mode: Direct},
+			{ID: 2, Priority: 4, Period: 20, Length: 5, Mode: Direct},
+			{ID: 3, Priority: 3, Period: 16, Length: 1, Mode: Indirect, Via: []stream.ID{5, 4}},
+			{ID: 4, Priority: 2, Period: 3, Length: 2, Mode: Indirect, Via: []stream.ID{5, 5}},
+			{ID: 5, Priority: 1, Period: 12, Length: 1, Mode: Direct},
+		}, [3]int{0, 5, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDiagram(tc.elems, 150)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [3]int
+			for pass := range got {
+				if pass > 0 {
+					d.Modify()
+				}
+				got[pass] = d.FreeSlots(150)
+			}
+			if got != tc.free {
+				t.Errorf("FREE(150) after 0, 1, 2 Modify passes = %v, want %v", got, tc.free)
+			}
+		})
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Analyzer describes one static check.
@@ -54,97 +53,34 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Module is the whole-run view shared by every package of one
-	// rtwlint invocation; detrand and the value-range tier read the
-	// call graph and function summaries from it. Never nil: a
-	// single-package run gets a module of one package.
-	Module *Module
-
 	// report receives every diagnostic, after suppression filtering.
 	report func(Diagnostic)
 	// suppressed knows the //rtwlint:ignore directives of the package.
 	suppressed func(name string, pos token.Pos) bool
+	// shared is the store of one package run, the same map in every
+	// pass of that run.
+	shared map[string]any
 }
 
-// Module is the cross-package context of one run: every in-module
-// package being checked, plus a keyed store for state computed once and
-// shared by all per-package passes (the call graph and summary engine
-// live here). Shared is safe for concurrent per-package passes: the
-// first caller of a key builds while the others wait, so an expensive
-// module-wide structure is computed exactly once.
-type Module struct {
-	// Packages is every package of the run, sorted by import path.
-	Packages []*Package
-
-	mu     sync.Mutex
-	shared map[string]*sharedEntry
-}
-
-type sharedEntry struct {
-	once sync.Once
-	val  any
-}
-
-// NewModule builds the run context over the given packages (sorted by
-// import path; the slice is not retained beyond the copy).
-func NewModule(pkgs []*Package) *Module {
-	sorted := make([]*Package, len(pkgs))
-	copy(sorted, pkgs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
-	return &Module{Packages: sorted, shared: map[string]*sharedEntry{}}
-}
-
-// Shared returns the module-wide value under key, building it with
-// build on first use. Concurrent callers of the same key block until
-// the single build completes.
-func (m *Module) Shared(key string, build func() any) any {
-	m.mu.Lock()
-	e, ok := m.shared[key]
+// Shared returns the value stored under key for this package run,
+// building it with build on first use. Every analyzer of the run sees
+// the same value, so work several analyzers need (the value-range
+// tier's interval fixpoints) runs once per package. Analyzers run one
+// after another, so the store needs no lock.
+func (p *Pass) Shared(key string, build func() any) any {
+	v, ok := p.shared[key]
 	if !ok {
-		e = &sharedEntry{}
-		m.shared[key] = e
+		v = build()
+		p.shared[key] = v
 	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.val = build() })
-	return e.val
-}
-
-// Package returns the module package with the given import path, or
-// nil.
-func (m *Module) Package(path string) *Package {
-	i := sort.Search(len(m.Packages), func(i int) bool { return m.Packages[i].Path >= path })
-	if i < len(m.Packages) && m.Packages[i].Path == path {
-		return m.Packages[i]
-	}
-	return nil
+	return v
 }
 
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Pos
-	End      token.Pos // optional: end of the flagged region (NoPos = unknown)
 	Message  string
 	Analyzer string
-	// SuggestedFixes are machine-applicable repairs for the finding;
-	// `rtwlint -fix` applies the first fix of each diagnostic (see
-	// cmd/rtwlint), and the analysistest harness verifies fixed output
-	// against .golden files.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained repair: applying all of its edits
-// resolves the diagnostic.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText. End ==
-// Pos inserts; empty NewText deletes.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }
 
 // Report emits a diagnostic unless a directive suppresses it.
@@ -179,7 +115,6 @@ const IgnorePrefix = "//rtwlint:ignore"
 // Directive is one parsed //rtwlint:ignore comment.
 type Directive struct {
 	Pos      token.Pos
-	End      token.Pos // end of the comment, for delete fixes
 	File     string
 	Line     int    // line the directive is written on
 	Analyzer string // analyzer name being suppressed ("" if malformed)
@@ -202,7 +137,7 @@ func Directives(fset *token.FileSet, files []*ast.File) []Directive {
 					continue // e.g. //rtwlint:ignorex — not ours
 				}
 				pos := fset.Position(c.Pos())
-				d := Directive{Pos: c.Pos(), End: c.End(), File: pos.Filename, Line: pos.Line}
+				d := Directive{Pos: c.Pos(), File: pos.Filename, Line: pos.Line}
 				fields := strings.Fields(rest)
 				if len(fields) > 0 {
 					d.Analyzer = fields[0]
@@ -282,21 +217,13 @@ func (s *suppressor) unused(ran map[string]bool) []Directive {
 // Run applies every analyzer to the package and returns the surviving
 // diagnostics sorted by position. After every analyzer's Run, the
 // Finish hooks see the directives that suppressed nothing (stale
-// ignores). An analyzer returning an error aborts the run. The package
-// runs as a module of itself; multi-package runs go through
-// RunInModule.
+// ignores). An analyzer returning an error aborts the run. Runs of
+// different packages share nothing, so they may proceed concurrently.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunInModule(pkg, NewModule([]*Package{pkg}), analyzers)
-}
-
-// RunInModule is Run with an explicit whole-run module context, so the
-// function summaries cover every package of the invocation while the
-// analyzers report only on pkg. Safe to call concurrently for different
-// packages of the same module.
-func RunInModule(pkg *Package, mod *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	sup := newSuppressor(pkg.Fset, pkg.Files)
 	ran := make(map[string]bool, len(analyzers))
+	shared := map[string]any{}
 	passes := make([]*Pass, len(analyzers))
 	for i, a := range analyzers {
 		ran[a.Name] = true
@@ -306,9 +233,9 @@ func RunInModule(pkg *Package, mod *Module, analyzers []*Analyzer) ([]Diagnostic
 			Files:      pkg.Files,
 			Pkg:        pkg.Pkg,
 			TypesInfo:  pkg.Info,
-			Module:     mod,
 			report:     func(d Diagnostic) { diags = append(diags, d) },
 			suppressed: sup.suppress,
+			shared:     shared,
 		}
 		if err := a.Run(passes[i]); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

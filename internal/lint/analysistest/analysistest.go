@@ -64,52 +64,6 @@ func RunAnalyzers(t *testing.T, as []*analysis.Analyzer, dir, pkgPath string) []
 	return diags
 }
 
-// RunWithFixes runs the analyzers like RunAnalyzers, then applies the
-// first suggested fix of every diagnostic and compares each patched
-// file against its golden sibling `<name>.golden`. A fixture file that
-// accumulates edits MUST have a golden file; files without edits need
-// none. Golden files live next to the fixture and are plain final
-// content (gofmt-formatted, as -fix output is).
-func RunWithFixes(t *testing.T, as []*analysis.Analyzer, dir, pkgPath string) {
-	t.Helper()
-	pkg := Load(t, dir, pkgPath)
-	diags, err := analysis.Run(pkg, as)
-	if err != nil {
-		t.Fatalf("running analyzers on %s: %v", dir, err)
-	}
-	check(t, pkg, diags)
-	edits := analysis.FixEdits(pkg.Fset, diags)
-	if len(edits) == 0 {
-		t.Fatalf("RunWithFixes on %s: no diagnostic produced any suggested fix", dir)
-	}
-	files := make([]string, 0, len(edits))
-	for f := range edits {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatalf("reading fixture %s: %v", file, err)
-		}
-		got, err := analysis.ApplyEdits(pkg.Fset, src, edits[file])
-		if err != nil {
-			t.Errorf("applying fixes to %s: %v", file, err)
-			continue
-		}
-		golden := file + ".golden"
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Errorf("fixture %s has fixes but no golden file: %v", filepath.Base(file), err)
-			continue
-		}
-		if string(got) != string(want) {
-			t.Errorf("fixed output of %s differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
-				filepath.Base(file), filepath.Base(golden), got, want)
-		}
-	}
-}
-
 // Load parses and type-checks every .go file under dir as one package
 // with the given import path. Exposed so tests can run analyzers with
 // custom assertions (e.g. detrand's package-scope rule) instead of the

@@ -16,9 +16,8 @@ import (
 // that suppressed zero diagnostics is itself an error — the code it
 // excused has been fixed (or the analyzer sharpened), and keeping the
 // directive would silently swallow the next real finding on that line.
-// Stale reports carry a suggested fix deleting the directive, applied
-// by `rtwlint -fix`. A directive naming an analyzer that did not run
-// (e.g. under -only) is never judged stale.
+// A directive naming an analyzer that did not run (e.g. under -only) is
+// never judged stale.
 var Directive = &analysis.Analyzer{
 	Name:   "directive",
 	Doc:    "validates //rtwlint:ignore suppression directives and flags stale ones",
@@ -28,16 +27,9 @@ var Directive = &analysis.Analyzer{
 
 func finishDirective(pass *analysis.Pass, unused []analysis.Directive) error {
 	for _, d := range unused {
-		pass.Report(analysis.Diagnostic{
-			Pos: d.Pos,
-			End: d.End,
-			Message: "stale rtwlint directive: it suppresses no \"" + d.Analyzer +
-				"\" diagnostics; delete it (or fix the regression it was hiding)",
-			SuggestedFixes: []analysis.SuggestedFix{{
-				Message:   "delete the stale directive",
-				TextEdits: []analysis.TextEdit{{Pos: d.Pos, End: d.End}},
-			}},
-		})
+		pass.Reportf(d.Pos,
+			"stale rtwlint directive: it suppresses no %q diagnostics; delete it (or fix the regression it was hiding)",
+			d.Analyzer)
 	}
 	return nil
 }

@@ -18,13 +18,6 @@ func TestStaleDirective(t *testing.T) {
 		"testdata/src/staledirective", "repro/internal/lintfix/staledirective")
 }
 
-// TestStaleDirectiveFix: the stale report's delete fix removes exactly
-// the directive comment.
-func TestStaleDirectiveFix(t *testing.T) {
-	analysistest.RunWithFixes(t, []*analysis.Analyzer{Directive, Floateq},
-		"testdata/src/staledirective", "repro/internal/lintfix/staledirective")
-}
-
 // TestAnalyzerNamesUnique: directive suppression is keyed by analyzer
 // name, so the registry must never grow a duplicate.
 func TestAnalyzerNamesUnique(t *testing.T) {

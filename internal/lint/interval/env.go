@@ -115,13 +115,6 @@ func (e Env) Var(v *types.Var) (VarFact, bool) {
 type EnvLattice struct {
 	Info *types.Info
 
-	// CalleeRanges, when non-nil, supplies conservative result
-	// intervals for a call expression. The analyzers wire it to the
-	// summary tier's Ranges fact; the interval package cannot import
-	// summary (the dependency points the other way), so it arrives as
-	// a hook. A nil return means "no knowledge".
-	CalleeRanges func(call *ast.CallExpr) []Interval
-
 	untracked map[*types.Var]bool
 	params    []*types.Var
 	results   []*types.Var
@@ -130,8 +123,8 @@ type EnvLattice struct {
 // NewEnvLattice prepares the lattice for one function: node is the
 // *ast.FuncDecl or *ast.FuncLit, body its block. The prepass computes
 // the untracked set (address-taken or closure-assigned variables).
-func NewEnvLattice(info *types.Info, node ast.Node, body *ast.BlockStmt, calleeRanges func(*ast.CallExpr) []Interval) *EnvLattice {
-	l := &EnvLattice{Info: info, CalleeRanges: calleeRanges, untracked: map[*types.Var]bool{}}
+func NewEnvLattice(info *types.Info, node ast.Node, body *ast.BlockStmt) *EnvLattice {
+	l := &EnvLattice{Info: info, untracked: map[*types.Var]bool{}}
 
 	var ftype *ast.FuncType
 	var recv *ast.FieldList
@@ -618,29 +611,19 @@ func (l *EnvLattice) assign(in Env, n *ast.AssignStmt) Env {
 			}
 			return out
 		}
-		// Tuple form: x, y := f() / m[k] / v.(T). Callee ranges when the
-		// summary knows them, the static type range otherwise.
-		var ranges []Interval
+		// Tuple form: x, y := f() / m[k] / v.(T). Each lhs takes its
+		// static type range.
 		taint := false
 		if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
-			if l.CalleeRanges != nil {
-				ranges = l.CalleeRanges(call)
-			}
 			taint = l.callTaint(call)
 		}
 		out := in
-		for i, lhs := range n.Lhs {
-			iv := Top()
-			if i < len(ranges) {
-				iv = ranges[i]
-			}
+		for _, lhs := range n.Lhs {
 			out = l.setExpr(out, lhs, func(VarFact) VarFact {
+				iv := Top()
 				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 					if v, _ := l.objOf(id).(*types.Var); v != nil {
-						next := Intersect(iv, typeRangeOf(v.Type()))
-						if !next.IsEmpty() {
-							iv = next
-						}
+						iv = typeRangeOf(v.Type())
 					}
 				}
 				return VarFact{iv, taint}
@@ -911,12 +894,6 @@ func (l *EnvLattice) evalCall(env Env, call *ast.CallExpr) (Interval, bool) {
 		}
 	}
 
-	// Module-local callee with a summary Ranges fact.
-	if l.CalleeRanges != nil {
-		if ranges := l.CalleeRanges(call); len(ranges) == 1 {
-			return ranges[0], l.callTaint(call)
-		}
-	}
 	return l.fallback(call), l.callTaint(call)
 }
 

@@ -39,7 +39,7 @@ func analyzeNamed(t *testing.T, src, name string) (*FuncResult, *types.Info, *as
 	if fd == nil {
 		t.Fatalf("no function %q in fixture", name)
 	}
-	lat := NewEnvLattice(info, fd, fd.Body, nil)
+	lat := NewEnvLattice(info, fd, fd.Body)
 	return Analyze(fd.Body, lat), info, fd
 }
 

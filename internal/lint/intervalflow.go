@@ -2,8 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
-	"slices"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/cfg"
@@ -12,61 +10,31 @@ import (
 
 // funcIntervals is the converged interval analysis of one function
 // body, shared by the three value-range analyzers (intoverflow,
-// deadrange, shiftwidth) so each package's fixpoints run once per
-// rtwlint invocation, not once per analyzer.
+// deadrange, shiftwidth) so each function's fixpoint runs once per
+// package run, not once per analyzer.
 type funcIntervals struct {
 	fn  cfg.Func
 	res *interval.FuncResult
 }
 
 // intervalFuncs returns the per-function interval results of the
-// pass's package, computing them on first request and caching in the
-// module's shared store. Test files are skipped, like every rtwlint
-// analyzer does.
+// pass's package, computing them on first request and caching them in
+// the package run's shared store. Test files are skipped, like every
+// rtwlint analyzer does.
 func intervalFuncs(pass *analysis.Pass) []*funcIntervals {
-	key := "interval/" + pass.Pkg.Path()
-	return pass.Module.Shared(key, func() any {
-		hook := calleeRangesHook(pass)
+	return pass.Shared("interval", func() any {
 		var out []*funcIntervals
 		for _, f := range pass.Files {
 			if analysis.IsTestFile(pass.Fset, f.Pos()) {
 				continue
 			}
 			for _, fn := range cfg.FuncBodies(f) {
-				lat := interval.NewEnvLattice(pass.TypesInfo, fn.Node, fn.Body, hook)
+				lat := interval.NewEnvLattice(pass.TypesInfo, fn.Node, fn.Body)
 				out = append(out, &funcIntervals{fn: fn, res: interval.Analyze(fn.Body, lat)})
 			}
 		}
 		return out
 	}).([]*funcIntervals)
-}
-
-// calleeRangesHook bridges the summary tier's Ranges fact into the
-// interval domain: a direct call to an in-module function whose
-// returns are all bounded constants evaluates to the union of those
-// constants instead of Top. Calls the resolver cannot pin (function
-// values, explicit generic instantiations, out-of-module callees)
-// return nil — no knowledge, never a wrong answer.
-func calleeRangesHook(pass *analysis.Pass) func(*ast.CallExpr) []interval.Interval {
-	eng := moduleEngine(pass)
-	info := pass.TypesInfo
-	return func(call *ast.CallExpr) []interval.Interval {
-		var fn *types.Func
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			fn, _ = info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			fn, _ = info.Uses[fun.Sel].(*types.Func)
-		}
-		if fn == nil {
-			return nil
-		}
-		facts := eng.Func(fn)
-		if facts == nil || facts.Ranges == nil {
-			return nil
-		}
-		return slices.Clone(facts.Ranges)
-	}
 }
 
 // replayBlocks walks every reached block of a converged function in

@@ -6,11 +6,10 @@
 //   - floateq: timing quantities must never be compared with == / != in
 //     floating point; bounds are integer flit times, statistics need an
 //     epsilon.
-//   - detrand: the simulator and experiment harnesses must be
+//   - detrand: the packages whose output is pinned (the simulators,
+//     the study harnesses and the tools that print them) must be
 //     reproducible — no wall clock, no unseeded global randomness, no
-//     map-iteration-order-dependent output. A map-range body may hand
-//     its keys to a helper that sorts them: the Sorts fact of the
-//     function summaries (internal/lint/summary) says which helpers do.
+//     map-iteration-order-dependent output.
 //   - errdrop: error returns from this module's own functions must not
 //     be silently discarded (stricter than go vet, scoped to repro/...).
 //   - directive: every //rtwlint:ignore suppression must name a known
@@ -23,9 +22,8 @@
 //     where the accompanying error was never checked.
 //
 // The value-range analyzers run the interval abstract domain
-// (internal/lint/interval) over the same CFG/dataflow engine, reading
-// callee result ranges from the function summaries, and prove the
-// cycle arithmetic — the quantities Cal_U multiplies and doubles —
+// (internal/lint/interval) over the same CFG/dataflow engine and prove
+// the cycle arithmetic — the quantities Cal_U multiplies and doubles —
 // overflow-safe:
 //
 //   - intoverflow: +, *, << on cycle-typed quantities whose range may

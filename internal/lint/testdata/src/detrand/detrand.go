@@ -5,7 +5,6 @@ package detrand
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -69,17 +68,9 @@ func mapOrder(m map[int]int) ([]int, int) {
 	return keys, sum
 }
 
-// collector accumulates keys through helper methods; whether the
-// emission is order-independent depends on what the callee does, which
-// only the interprocedural summary can see.
+// collector accumulates keys through a helper method. A call in a
+// map-range body is order-dependent whatever the callee does.
 type collector struct{ keys []int }
-
-// addSorted appends and re-sorts: the collector's state is a pure
-// function of the key SET, not the insertion order.
-func (c *collector) addSorted(k int) {
-	c.keys = append(c.keys, k)
-	sort.Ints(c.keys)
-}
 
 // addUnsorted bakes the insertion order into the slice.
 func (c *collector) addUnsorted(k int) {
@@ -88,13 +79,6 @@ func (c *collector) addUnsorted(k int) {
 
 func useCollector(m map[int]int) []int {
 	var c collector
-	// The collect-then-sort idiom moved into a callee: the summary's
-	// Sorts fact suppresses the report (this was a false positive
-	// before the call graph existed).
-	for k := range m {
-		c.addSorted(k)
-	}
-	// A callee that only appends is still order-dependent.
 	for k := range m { // want `map iteration order is nondeterministic`
 		c.addUnsorted(k)
 	}

@@ -12,7 +12,7 @@ func live(a, b float64) bool {
 }
 
 // stale: integer comparison never trips floateq, so this suppression
-// hides nothing and is flagged (with a delete fix).
+// hides nothing and is flagged.
 func stale(a, b int) bool {
 	/* want `stale rtwlint directive` */ //rtwlint:ignore floateq integers cannot produce this finding
 	return a == b
